@@ -10,7 +10,8 @@ every access to charge cache/EPC costs.
 from __future__ import annotations
 
 import struct
-from typing import Callable, Dict, List, Optional
+from bisect import bisect_left, bisect_right
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import GuardPageFault, OutOfMemory, SegmentationFault
 from repro.memory.layout import (
@@ -33,6 +34,10 @@ _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
 _F64 = struct.Struct("<d")
+
+#: Sorts after every run ``(first, end, perms)`` with ``first <= idx``
+#: when bisecting with ``(idx, _PAST_LAST_PAGE)``.
+_PAST_LAST_PAGE = (ADDRESS_SPACE_SIZE >> PAGE_SHIFT) + 1
 
 
 class Region:
@@ -57,6 +62,18 @@ class Region:
 class AddressSpace:
     """Byte-addressable sparse memory with page permissions.
 
+    Which pages are mapped, and with what permissions, is held by one
+    sorted list of page runs ``(first_page, end_page, perms)``: disjoint,
+    with adjacent equal-permission runs coalesced, and searched with
+    :mod:`bisect`.  Mapping, unmapping and protecting cost
+    O(log runs + runs touched), however many pages they cover, so a
+    512 MiB shadow reservation costs one run until a page is touched.
+    The run list is authoritative.  ``_pages`` holds the materialized
+    (touched) pages and ``_perms`` the permissions of exactly those pages,
+    kept equal to the run list by :meth:`protect`; the two dicts always
+    have the same keys.  The VM's inlined accessors read both dicts
+    directly (``repro.vm.fastpath``).
+
     ``reserved_bytes`` tracks mapped virtual memory — the metric the paper
     reports ("maximum amount of reserved virtual memory", §6.1) — and
     ``peak_reserved`` its high-water mark.
@@ -65,6 +82,8 @@ class AddressSpace:
     def __init__(self, commit_limit: int = 0) -> None:
         self._pages: Dict[int, bytearray] = {}
         self._perms: Dict[int, int] = {}
+        self._runs: List[Tuple[int, int, int]] = []
+        self._mapped_pages = 0
         self.regions: List[Region] = []
         self.reserved_bytes = 0
         self.peak_reserved = 0
@@ -75,6 +94,75 @@ class AddressSpace:
         #: Optional hook called as ``tracer(address, size, is_write)`` on
         #: every data access; installed by the SGX cost model.
         self.tracer: Optional[Callable[[int, int, bool], None]] = None
+
+    # ------------------------------------------------------------------
+    # The page-run map
+    # ------------------------------------------------------------------
+    def _run_perms(self, idx: int) -> Optional[int]:
+        """Permissions of page ``idx`` from the run list; None if unmapped."""
+        runs = self._runs
+        i = bisect_right(runs, (idx, _PAST_LAST_PAGE)) - 1
+        if i >= 0:
+            _, end, perms = runs[i]
+            if idx < end:
+                return perms
+        return None
+
+    def _overlapping(self, first: int, end: int) -> Tuple[int, int]:
+        """Index range ``[lo, hi)`` of the runs intersecting pages
+        ``[first, end)``."""
+        runs = self._runs
+        lo = bisect_right(runs, (first, _PAST_LAST_PAGE))
+        if lo and runs[lo - 1][1] > first:
+            lo -= 1
+        return lo, bisect_left(runs, (end,), lo)
+
+    def _first_unmapped(self, first: int, end: int) -> Optional[int]:
+        """Lowest unmapped page in ``[first, end)``, or None."""
+        lo, hi = self._overlapping(first, end)
+        runs = self._runs
+        cursor = first
+        for i in range(lo, hi):
+            run_first, run_end, _ = runs[i]
+            if run_first > cursor:
+                return cursor
+            cursor = run_end
+        return cursor if cursor < end else None
+
+    def _assign(self, first: int, end: int, perms: Optional[int]) -> None:
+        """Set pages ``[first, end)`` to ``perms`` (None unmaps them)."""
+        runs = self._runs
+        lo, hi = self._overlapping(first, end)
+        pieces = []
+        if lo < hi and runs[lo][0] < first:
+            pieces.append((runs[lo][0], first, runs[lo][2]))
+        if perms is not None:
+            pieces.append((first, end, perms))
+        if lo < hi and runs[hi - 1][1] > end:
+            pieces.append((end, runs[hi - 1][1], runs[hi - 1][2]))
+        # Take in both neighbours so equal-permission runs that now touch
+        # coalesce, which keeps the list at one run per distinct stretch.
+        if lo:
+            lo -= 1
+            pieces.insert(0, runs[lo])
+        if hi < len(runs):
+            pieces.append(runs[hi])
+            hi += 1
+        merged: List[Tuple[int, int, int]] = []
+        for run in pieces:
+            if merged and merged[-1][1] == run[0] and merged[-1][2] == run[2]:
+                merged[-1] = (merged[-1][0], run[1], run[2])
+            else:
+                merged.append(run)
+        runs[lo:hi] = merged
+
+    def _materialized_in(self, first: int, end: int) -> List[int]:
+        """Materialized pages in ``[first, end)``, found by walking
+        whichever is smaller: the range or the materialized pages."""
+        pages = self._pages
+        if end - first <= len(pages):
+            return [idx for idx in range(first, end) if idx in pages]
+        return [idx for idx in pages if first <= idx < end]
 
     # ------------------------------------------------------------------
     # Mapping management
@@ -90,12 +178,13 @@ class AddressSpace:
         if start + size > ADDRESS_SPACE_SIZE:
             raise OutOfMemory(size, "mapping beyond 32-bit address space")
         first = start >> PAGE_SHIFT
-        count = size >> PAGE_SHIFT
-        for idx in range(first, first + count):
-            if idx in self._perms:
-                raise OutOfMemory(size, f"page 0x{idx << PAGE_SHIFT:08x} already mapped")
-        for idx in range(first, first + count):
-            self._perms[idx] = perms
+        end = first + (size >> PAGE_SHIFT)
+        lo, hi = self._overlapping(first, end)
+        if lo < hi:
+            idx = max(first, self._runs[lo][0])
+            raise OutOfMemory(size, f"page 0x{idx << PAGE_SHIFT:08x} already mapped")
+        self._assign(first, end, perms)
+        self._mapped_pages += end - first
         region = Region(name, start, size, perms)
         self.regions.append(region)
         self.reserved_bytes += size
@@ -109,36 +198,60 @@ class AddressSpace:
             raise ValueError(f"unaligned unmap at 0x{start:08x}")
         size = page_align_up(size)
         first = start >> PAGE_SHIFT
-        count = size >> PAGE_SHIFT
-        for idx in range(first, first + count):
-            if idx not in self._perms:
-                raise SegmentationFault(idx << PAGE_SHIFT, PAGE_SIZE, "unmap of unmapped page")
-        for idx in range(first, first + count):
+        end = first + (size >> PAGE_SHIFT)
+        hole = self._first_unmapped(first, end)
+        if hole is not None:
+            raise SegmentationFault(hole << PAGE_SHIFT, PAGE_SIZE, "unmap of unmapped page")
+        if end <= first:
+            return
+        self._assign(first, end, None)
+        self._mapped_pages -= end - first
+        for idx in self._materialized_in(first, end):
+            del self._pages[idx]
             del self._perms[idx]
-            self._pages.pop(idx, None)
         self.reserved_bytes -= size
-        self.regions = [
-            r for r in self.regions
-            if not (r.start >= start and r.end <= start + size)
-        ]
+        self._cut_regions(start, start + size)
+
+    def _cut_regions(self, start: int, end: int) -> None:
+        """Trim or split the regions overlapping ``[start, end)``."""
+        kept = []
+        for r in self.regions:
+            if r.end <= start or r.start >= end:
+                kept.append(r)
+                continue
+            tail = r.end - end
+            if r.start < start:
+                r.size = start - r.start
+                kept.append(r)
+            if tail > 0:
+                kept.append(Region(r.name, end, tail, r.perms))
+        self.regions = kept
 
     def is_mapped(self, address: int) -> bool:
         """Whether the page containing ``address`` is mapped (guards count)."""
-        return (address >> PAGE_SHIFT) in self._perms
+        return self._run_perms(address >> PAGE_SHIFT) is not None
 
     def is_accessible(self, address: int) -> bool:
         """Whether a 1-byte read at ``address`` would succeed."""
-        perms = self._perms.get(address >> PAGE_SHIFT, PERM_NONE)
-        return bool(perms & PERM_READ)
+        perms = self._run_perms(address >> PAGE_SHIFT)
+        return perms is not None and bool(perms & PERM_READ)
 
     def protect(self, start: int, size: int, perms: int) -> None:
-        """Change permissions of an already-mapped page range."""
+        """Change permissions of an already-mapped page range.
+
+        Pages below the first unmapped page in the range are changed
+        before the fault is raised.
+        """
         first = start >> PAGE_SHIFT
-        count = page_align_up(size) >> PAGE_SHIFT
-        for idx in range(first, first + count):
-            if idx not in self._perms:
-                raise SegmentationFault(idx << PAGE_SHIFT, PAGE_SIZE, "protect of unmapped page")
-            self._perms[idx] = perms
+        end = first + (page_align_up(size) >> PAGE_SHIFT)
+        hole = self._first_unmapped(first, end)
+        stop = end if hole is None else hole
+        if stop > first:
+            self._assign(first, stop, perms)
+            for idx in self._materialized_in(first, stop):
+                self._perms[idx] = perms
+        if hole is not None:
+            raise SegmentationFault(hole << PAGE_SHIFT, PAGE_SIZE, "protect of unmapped page")
 
     # ------------------------------------------------------------------
     # Raw byte access
@@ -146,7 +259,9 @@ class AddressSpace:
     def _page_for(self, idx: int, write: bool, address: int, size: int) -> bytearray:
         perms = self._perms.get(idx)
         if perms is None:
-            raise SegmentationFault(address, size, "write" if write else "read")
+            perms = self._run_perms(idx)
+            if perms is None:
+                raise SegmentationFault(address, size, "write" if write else "read")
         if perms & PERM_GUARD:
             raise GuardPageFault(address, size)
         needed = PERM_WRITE if write else PERM_READ
@@ -159,6 +274,7 @@ class AddressSpace:
                 raise OutOfMemory(PAGE_SIZE, "enclave commit limit reached")
             page = bytearray(PAGE_SIZE)
             self._pages[idx] = page
+            self._perms[idx] = perms
         return page
 
     def read(self, address: int, size: int) -> bytes:
@@ -288,6 +404,6 @@ class AddressSpace:
             "reserved_bytes": self.reserved_bytes,
             "peak_reserved": self.peak_reserved,
             "materialized_pages": len(self._pages),
-            "mapped_pages": len(self._perms),
+            "mapped_pages": self._mapped_pages,
             "regions": len(self.regions),
         }

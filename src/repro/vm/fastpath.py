@@ -90,12 +90,17 @@ class FastCode:
 # Inlined memory accessors.  The common access — within one page, page
 # already materialized, ordinary permissions — skips the read_uint →
 # read_uN → read → _page_for call chain and the intermediate bytes copy.
-# Anything unusual (page crossing, guard/unmapped/protected page, a page
-# not yet materialized) falls back to the AddressSpace slow path, which
-# raises the same faults with the same messages.  The tracer fires
-# exactly once per access either way: the fast branch only runs after
-# every fallback condition has been ruled out, and it reads
-# ``space.tracer`` per access because bulk natives swap it out.
+# AddressSpace's page-run list is authoritative for what is mapped;
+# ``space._perms`` holds the permissions of materialized pages only, with
+# exactly the keys of ``space._pages``, so a hit in ``_perms`` means the
+# page is mapped, materialized and carries those permissions.  A miss —
+# unmapped, or mapped but never touched — and anything else unusual (page
+# crossing, guard or protected page) falls back to the AddressSpace slow
+# path, which raises the same faults with the same messages and
+# materializes on first touch.  The tracer fires exactly once per access
+# either way: the fast branch only runs after every fallback condition
+# has been ruled out, and it reads ``space.tracer`` per access because
+# bulk natives swap it out.
 # PERM_READ=1 / PERM_RW=3 are frozen constants of the memory layout.
 # ---------------------------------------------------------------------------
 

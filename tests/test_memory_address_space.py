@@ -1,15 +1,23 @@
 """Unit tests for the paged 32-bit address space."""
 
+import random
+
 import pytest
 
+from repro.asan import ASanScheme
+from repro.baggy.runtime import BaggyScheme
 from repro.errors import GuardPageFault, OutOfMemory, SegmentationFault
 from repro.memory import (
     AddressSpace,
     PERM_GUARD,
+    PERM_NONE,
     PERM_READ,
     PERM_RW,
+    PERM_WRITE,
     layout,
 )
+from repro.vm import VM
+from repro.vm.fastpath import _fast_reader, _fast_writer
 
 
 @pytest.fixture
@@ -161,3 +169,243 @@ class TestTracerAndCommit:
         space = AddressSpace(commit_limit=2 * layout.PAGE_SIZE)
         space.map(0x10000, 0x100000)   # large reservation is fine
         space.write_u8(0x10000, 1)     # only materialization counts
+
+
+class TestRegions:
+    def test_partial_unmap_splits_region(self, space):
+        space.map(0x10000, 0x4000, name="blk")
+        space.unmap(0x11000, 0x2000)
+        assert [(r.start, r.size) for r in space.regions] == \
+            [(0x10000, 0x1000), (0x13000, 0x1000)]
+        assert space.stats()["regions"] == 2
+        space.map(0x11000, 0x2000, name="hole")
+        assert space.stats()["regions"] == 3
+        space.unmap(0x10000, 0x4000)
+        assert space.regions == []
+
+    def test_unmap_trims_region_edges(self, space):
+        space.map(0x10000, 0x3000)
+        space.unmap(0x10000, 0x1000)
+        space.unmap(0x12000, 0x1000)
+        assert [(r.start, r.size) for r in space.regions] == [(0x11000, 0x1000)]
+
+
+class TestRunMapScaling:
+    """Reserving metadata costs one run, not one entry per page."""
+
+    def _assert_lazy(self, space, min_mapped):
+        stats = space.stats()
+        assert stats["mapped_pages"] >= min_mapped
+        assert stats["materialized_pages"] < 16
+        assert len(space._perms) == stats["materialized_pages"]
+        assert len(space._runs) <= 4
+
+    def test_asan_shadow(self):
+        self._assert_lazy(VM(scheme=ASanScheme()).space, 131_072)
+
+    def test_baggy_table_and_arena(self):
+        self._assert_lazy(VM(scheme=BaggyScheme()).space, 67_584)
+
+    def test_adjacent_equal_runs_coalesce(self, space):
+        for i in range(8):
+            space.map(0x10000 + i * 0x1000, 0x1000)
+        assert len(space._runs) == 1
+        space.protect(0x12000, 0x1000, PERM_READ)
+        assert len(space._runs) == 3
+        space.protect(0x12000, 0x1000, PERM_RW)
+        assert len(space._runs) == 1
+
+
+# ---------------------------------------------------------------------------
+# Differential check of the run map against a per-page reference model
+# ---------------------------------------------------------------------------
+
+class PageDictModel:
+    """One dict entry per mapped page: the straightforward reference."""
+
+    def __init__(self, commit_limit=0):
+        self.commit_limit = commit_limit
+        self.perms = {}       # page -> perms
+        self.owner = {}       # page -> serial of the map() that mapped it
+        self.pages = {}       # page -> bytearray, materialized only
+        self.maps = 0
+        self.reserved = self.peak = 0
+
+    def map(self, start, size, perms):
+        if start & layout.PAGE_MASK:
+            raise ValueError(f"unaligned mapping at 0x{start:08x}")
+        size = layout.page_align_up(size)
+        if size <= 0:
+            raise ValueError("mapping size must be positive")
+        if start + size > layout.ADDRESS_SPACE_SIZE:
+            raise OutOfMemory(size, "mapping beyond 32-bit address space")
+        first = start >> layout.PAGE_SHIFT
+        span = range(first, first + (size >> layout.PAGE_SHIFT))
+        for idx in span:
+            if idx in self.perms:
+                raise OutOfMemory(size, f"page 0x{idx << layout.PAGE_SHIFT:08x} already mapped")
+        self.maps += 1
+        for idx in span:
+            self.perms[idx] = perms
+            self.owner[idx] = self.maps
+        self.reserved += size
+        self.peak = max(self.peak, self.reserved)
+
+    def unmap(self, start, size):
+        if start & layout.PAGE_MASK:
+            raise ValueError(f"unaligned unmap at 0x{start:08x}")
+        size = layout.page_align_up(size)
+        first = start >> layout.PAGE_SHIFT
+        span = range(first, first + (size >> layout.PAGE_SHIFT))
+        for idx in span:
+            if idx not in self.perms:
+                raise SegmentationFault(idx << layout.PAGE_SHIFT, layout.PAGE_SIZE,
+                                        "unmap of unmapped page")
+        for idx in span:
+            del self.perms[idx], self.owner[idx]
+            self.pages.pop(idx, None)
+        self.reserved -= size
+
+    def protect(self, start, size, perms):
+        first = start >> layout.PAGE_SHIFT
+        for idx in range(first, first + (layout.page_align_up(size) >> layout.PAGE_SHIFT)):
+            if idx not in self.perms:
+                raise SegmentationFault(idx << layout.PAGE_SHIFT, layout.PAGE_SIZE,
+                                        "protect of unmapped page")
+            self.perms[idx] = perms
+
+    def _page(self, idx, write, address, size):
+        kind = "write" if write else "read"
+        perms = self.perms.get(idx)
+        if perms is None:
+            raise SegmentationFault(address, size, kind)
+        if perms & PERM_GUARD:
+            raise GuardPageFault(address, size)
+        if not perms & (PERM_WRITE if write else PERM_READ):
+            raise SegmentationFault(address, size, kind)
+        if idx not in self.pages:
+            if self.commit_limit and \
+                    (len(self.pages) + 1) * layout.PAGE_SIZE > self.commit_limit:
+                raise OutOfMemory(layout.PAGE_SIZE, "enclave commit limit reached")
+            self.pages[idx] = bytearray(layout.PAGE_SIZE)
+        return self.pages[idx]
+
+    def _chunks(self, address, size, write):
+        cursor, end = address, address + size
+        while cursor < end:
+            offset = cursor & layout.PAGE_MASK
+            chunk = min(layout.PAGE_SIZE - offset, end - cursor)
+            yield self._page(cursor >> layout.PAGE_SHIFT, write, cursor, chunk), \
+                offset, chunk
+            cursor += chunk
+
+    def read(self, address, size):
+        return b"".join(bytes(page[off:off + n])
+                        for page, off, n in self._chunks(address, size, False))
+
+    def write(self, address, data):
+        taken = 0
+        for page, off, n in self._chunks(address, len(data), True):
+            page[off:off + n] = data[taken:taken + n]
+            taken += n
+
+    def is_mapped(self, address):
+        return (address >> layout.PAGE_SHIFT) in self.perms
+
+    def is_accessible(self, address):
+        return bool(self.perms.get(address >> layout.PAGE_SHIFT, PERM_NONE) & PERM_READ)
+
+    def stats(self):
+        # A region is a maximal stretch of contiguous pages from one map().
+        regions, prev = 0, None
+        for idx in sorted(self.perms):
+            if prev is None or idx != prev + 1 or self.owner[idx] != self.owner[prev]:
+                regions += 1
+            prev = idx
+        return {"reserved_bytes": self.reserved, "peak_reserved": self.peak,
+                "materialized_pages": len(self.pages),
+                "mapped_pages": len(self.perms), "regions": regions}
+
+
+_BASE_PAGE = 0x10
+_WINDOW = 24       # pages the random operations roam over
+_PERM_CHOICES = (PERM_RW, PERM_RW, PERM_READ, PERM_GUARD, PERM_NONE, PERM_WRITE)
+
+
+def _outcome(fn, *args):
+    try:
+        return ("ok", fn(*args))
+    except (SegmentationFault, OutOfMemory, ValueError) as exc:
+        return (type(exc), str(exc))
+
+
+def _random_op(rng, space):
+    page = layout.PAGE_SIZE
+    roll = rng.random()
+    if roll < 0.2:
+        start = (_BASE_PAGE + rng.randrange(_WINDOW)) * page
+        if rng.random() < 0.05:
+            start += 1
+        return "map", (start, rng.randrange(1, 6) * page - rng.randrange(page),
+                       rng.choice(_PERM_CHOICES))
+    if roll < 0.32:
+        if space.regions and rng.random() < 0.7:
+            region = rng.choice(space.regions)
+            first = rng.randrange(region.size // page)
+            if rng.random() < 0.5:
+                return "unmap", (region.start, region.size)
+            count = rng.randrange(1, region.size // page - first + 1)
+            return "unmap", (region.start + first * page, count * page)
+        return "unmap", ((_BASE_PAGE + rng.randrange(_WINDOW)) * page,
+                         rng.randrange(1, 5) * page)
+    if roll < 0.45:
+        start = (_BASE_PAGE + rng.randrange(_WINDOW)) * page
+        return "protect", (start + rng.choice((0, 0, 0, 7)),
+                           rng.randrange(0, 7) * page - rng.randrange(page),
+                           rng.choice(_PERM_CHOICES))
+    address = (_BASE_PAGE + rng.randrange(_WINDOW)) * page
+    address += rng.choice((0, page - 1, page - 4, page - 8, rng.randrange(page)))
+    size = rng.choice((1, 2, 4, 8, 13, page + 5))
+    if roll < 0.7:
+        return "read", (address, size)
+    return "write", (address, bytes(rng.randrange(256) for _ in range(size)))
+
+
+def _check_invariants(space):
+    assert space._perms.keys() == space._pages.keys()
+    runs = space._runs
+    for (f1, e1, p1), (f2, e2, p2) in zip(runs, runs[1:]):
+        assert f1 < e1 <= f2 < e2
+        assert e1 < f2 or p1 != p2, "adjacent equal runs must coalesce"
+    for idx, perms in space._perms.items():
+        assert space._run_perms(idx) == perms
+
+
+@pytest.mark.parametrize("commit_limit", [0, 5 * layout.PAGE_SIZE])
+@pytest.mark.parametrize("seed", range(12))
+def test_run_map_matches_page_dict_model(seed, commit_limit):
+    rng = random.Random(seed)
+    space = AddressSpace(commit_limit=commit_limit)
+    model = PageDictModel(commit_limit=commit_limit)
+    fast_read = _fast_reader(space, 4)
+    fast_write = _fast_writer(space, 4)
+    for step in range(400):
+        op, args = _random_op(rng, space)
+        got = _outcome(getattr(space, op), *args)
+        want = _outcome(getattr(model, op), *args)
+        if op == "map" and got[0] == "ok":
+            got = ("ok", None)
+        assert got == want, (seed, step, op, args)
+        assert space.stats() == model.stats(), (seed, step, op, args)
+        _check_invariants(space)
+        probe = (_BASE_PAGE + rng.randrange(_WINDOW)) * layout.PAGE_SIZE \
+            + rng.randrange(layout.PAGE_SIZE)
+        assert space.is_mapped(probe) == model.is_mapped(probe)
+        assert space.is_accessible(probe) == model.is_accessible(probe)
+        word = probe & ~3
+        assert _outcome(fast_read, word) == \
+            _outcome(lambda a: int.from_bytes(model.read(a, 4), "little"), word)
+        value = rng.randrange(1 << 32)
+        assert _outcome(fast_write, word, value) == \
+            _outcome(model.write, word, value.to_bytes(4, "little"))
+        _check_invariants(space)

@@ -122,8 +122,8 @@ class Balancer:
                  policy: str = ROUND_ROBIN, queue_cap: int = 2,
                  max_attempts: int = 2, hedge_stranded: bool = True,
                  breaker_threshold: int = 3, breaker_cooldown: int = 25,
-                 telemetry=None, forensics=None, admission=None,
-                 tick_cycles: Optional[int] = None, obs=None):
+                 admission=None, tick_cycles: Optional[int] = None,
+                 events=None):
         if policy not in POLICIES:
             raise ValueError(f"unknown balance policy {policy!r}; "
                              f"expected one of {POLICIES}")
@@ -134,15 +134,10 @@ class Balancer:
         self.queue_cap = queue_cap
         self.max_attempts = max_attempts
         self.hedge_stranded = hedge_stranded
-        self.telemetry = telemetry \
-            if (telemetry is not None and telemetry.enabled) else None
-        self.forensics = forensics \
-            if (forensics is not None and forensics.enabled) else None
-        #: Optional ``repro.obs.Observability``; when attached every
-        #: queue/dispatch/retry/hedge transition lands a hop in the
-        #: request's causal trace.  None keeps every path below
-        #: byte-identical to the obs-free balancer.
-        self.obs = obs if (obs is not None and obs.enabled) else None
+        #: Optional ``repro.obs.events.EventHub``; when attached every
+        #: queue/dispatch/retry/hedge transition is emitted as an event.
+        #: None keeps every path below free of observability work.
+        self.events = events
         self.pending: Deque[Request] = deque()
         self.queues: Dict[int, Deque[Request]] = {
             wid: deque() for wid in self.order}
@@ -174,9 +169,9 @@ class Balancer:
             if reason is not None:
                 return self._reject(request, reason, now)
         self.pending.append(request)
-        if self.obs is not None:
-            self.obs.tracer.hop(
-                request.rid, "admission", now,
+        if self.events is not None:
+            self.events.emit(
+                "request_admitted", now, rid=request.rid,
                 gate="open" if self.admission is not None else "none")
         return None
 
@@ -185,8 +180,6 @@ class Balancer:
         request.detail = reason
         request.completed_at = now
         self.rejected += 1
-        if self.obs is not None:
-            self.obs.tracer.hop(request.rid, "rejected", now, reason=reason)
         self.admission.on_reject(request, reason, now)
         # Surface the distinct RJCT frame on a live worker's client
         # connection so NetworkSim's rejected counter (satellite of this
@@ -196,9 +189,9 @@ class Balancer:
                 worker = self.workers[wid]
                 worker.vm.net.reject_request(worker.conn)
                 break
-        if self.forensics is not None:
-            self.forensics.fleet_event("request_rejected", now,
-                                       rid=request.rid, reason=reason)
+        if self.events is not None:
+            self.events.emit("request_rejected", now, rid=request.rid,
+                             reason=reason)
         return request
 
     def _next_pending(self) -> Request:
@@ -269,8 +262,9 @@ class Balancer:
                     continue
             request.assigned_at = now
             self.queues[wid].append(request)
-            if self.obs is not None:
-                self.obs.tracer.hop(request.rid, "assign", now, wid=wid)
+            if self.events is not None:
+                self.events.emit("request_assigned", now, wid=wid,
+                                 rid=request.rid)
         for wid in self.order:
             if wid in self.inflight or not self.queues[wid]:
                 continue
@@ -282,9 +276,9 @@ class Balancer:
             request.started_at = now
             self.inflight[wid] = request
             self.breakers[wid].on_dispatch()
-            if self.obs is not None:
-                self.obs.tracer.hop(request.rid, "dispatch", now, wid=wid,
-                                    attempt=request.attempts)
+            if self.events is not None:
+                self.events.emit("request_dispatched", now, wid=wid,
+                                 rid=request.rid, attempt=request.attempts)
             # Stamped only by the observability layer; omitting the kwarg
             # otherwise keeps plain worker stand-ins signature-compatible.
             extra = {} if request.trace is None \
@@ -314,17 +308,10 @@ class Balancer:
             raise RuntimeError(
                 f"balancer: worker {wid} resolved rid {rid} but "
                 f"{request.rid if request else None} was in flight")
-        breaker = self.breakers[wid]
         if status == "served":
-            breaker.record_success()
+            self.breakers[wid].record_success()
         else:
-            was_open = breaker.state == OPEN
-            breaker.record_failure(now)
-            if breaker.state == OPEN and not was_open:
-                if self.telemetry is not None:
-                    self.telemetry.fleet_event("breaker_open", wid, now)
-                if self.forensics is not None:
-                    self.forensics.fleet_event("breaker_open", now, wid=wid)
+            self._record_failure(wid, now)
         self.supervisor.on_outcome(wid, status)
         if (self.admission is not None and status == "served"
                 and request.started_at is not None):
@@ -333,14 +320,23 @@ class Balancer:
             # Zombie completion: the client recorded this request as
             # failed when it expired; the cycles just spent serving it
             # were pure waste and must not resurface as a success.
-            if self.obs is not None:
+            if self.events is not None:
                 # The trace already closed at expiry, so this lands as a
                 # zombie_done hop — wasted work made visible.
-                self.obs.tracer.terminal(request.rid, now, status, wid=wid)
+                self.events.emit("zombie_completed", now, wid=wid,
+                                 rid=request.rid, status=status)
             return None
         request.status = status
         request.completed_at = now
         return request
+
+    def _record_failure(self, wid: int, now: int) -> None:
+        breaker = self.breakers[wid]
+        was_open = breaker.state == OPEN
+        breaker.record_failure(now)
+        if (breaker.state == OPEN and not was_open
+                and self.events is not None):
+            self.events.emit("breaker_open", now, wid=wid)
 
     def on_worker_crash(self, wid: int, stranded_rid: Optional[int],
                         now: int) -> List[Request]:
@@ -349,14 +345,7 @@ class Balancer:
         the global pending queue or fail with the worker.  Returns
         requests that reached a terminal state here."""
         terminal: List[Request] = []
-        breaker = self.breakers[wid]
-        was_open = breaker.state == OPEN
-        breaker.record_failure(now)
-        if breaker.state == OPEN and not was_open:
-            if self.telemetry is not None:
-                self.telemetry.fleet_event("breaker_open", wid, now)
-            if self.forensics is not None:
-                self.forensics.fleet_event("breaker_open", now, wid=wid)
+        self._record_failure(wid, now)
         request = self.inflight.pop(wid, None)
         if request is not None:
             if stranded_rid is not None and request.rid != stranded_rid:
@@ -365,12 +354,9 @@ class Balancer:
                     f"but rid {request.rid} was in flight")
             if request.attempts < self.max_attempts:
                 self.pending.appendleft(request)
-                if self.obs is not None:
-                    self.obs.tracer.hop(request.rid, "requeue", now,
-                                        wid=wid, reason="crash")
-                if self.forensics is not None:
-                    self.forensics.fleet_event("request_requeued", now,
-                                               wid=wid, rid=request.rid)
+                if self.events is not None:
+                    self.events.emit("request_requeued", now, wid=wid,
+                                     rid=request.rid, reason="crash")
             else:
                 request.status = "failed"
                 request.detail = "crash; retries exhausted"
@@ -386,9 +372,9 @@ class Balancer:
                 if waiting.terminal:
                     continue
                 self.pending.appendleft(waiting)
-                if self.obs is not None:
-                    self.obs.tracer.hop(waiting.rid, "requeue", now,
-                                        wid=wid, reason="hedge")
+                if self.events is not None:
+                    self.events.emit("request_hedged", now, wid=wid,
+                                     rid=waiting.rid, reason="hedge")
         elif self.supervisor.status(wid) == "dead":
             while queued:
                 waiting = queued.popleft()
@@ -440,16 +426,13 @@ class Balancer:
                     request.detail = "deadline"
                     request.completed_at = now
                     expired.append(request)
-                    if self.obs is not None:
-                        self.obs.tracer.hop(
-                            request.rid, "expired", now,
-                            waited=now - request.arrival)
                     if in_place:
                         request.abandoned = True
                         kept.append(request)
-                    if self.forensics is not None:
-                        self.forensics.fleet_event("request_expired", now,
-                                                   rid=request.rid)
+                    if self.events is not None:
+                        self.events.emit("request_expired", now,
+                                         rid=request.rid,
+                                         waited=now - request.arrival)
                 else:
                     kept.append(request)
             return kept

@@ -195,6 +195,7 @@ def run_campaign(config: CampaignConfig, telemetry=None,
     from repro import obs as obs_mod
     from repro import telemetry as telemetry_mod
     from repro.harness.experiments import APP_CONFIG
+    from repro.obs.events import hub
 
     telemetry = telemetry if telemetry is not None \
         else telemetry_mod.get_default()
@@ -207,6 +208,7 @@ def run_campaign(config: CampaignConfig, telemetry=None,
         obs = None
     if obs is not None:
         obs.begin_campaign(config, forensics=forensics)
+    events = hub(telemetry, forensics, obs)
     profile = _profile(config.app)
     mod = profile.module
     recovery_on = config.recovery != "none"
@@ -260,8 +262,7 @@ def run_campaign(config: CampaignConfig, telemetry=None,
         rewarm_scale=config.rewarm_scale,
         tick_cycles=config.tick_cycles,
         crash_loop_k=config.crash_loop_k,
-        crash_loop_window=config.crash_loop_window,
-        telemetry=telemetry, forensics=forensics)
+        crash_loop_window=config.crash_loop_window, events=events)
     controls = None
     if config.overload != "off":
         from repro.overload import PRIORITIES, build_controls
@@ -270,20 +271,18 @@ def run_campaign(config: CampaignConfig, telemetry=None,
             priority_mix=config.priority_mix,
             client_retries=config.client_retries,
             retry_refill=config.retry_refill,
-            retry_burst=config.retry_burst,
-            telemetry=telemetry, forensics=forensics)
+            retry_burst=config.retry_burst, events=events)
     balancer = Balancer(workers, supervisor, policy=config.balance,
                         queue_cap=config.queue_cap,
                         max_attempts=config.max_attempts,
                         hedge_stranded=config.hedge_stranded,
                         breaker_threshold=config.breaker_threshold,
                         breaker_cooldown=config.breaker_cooldown,
-                        telemetry=telemetry, forensics=forensics,
                         admission=controls.admission
                         if controls is not None else None,
                         tick_cycles=config.tick_cycles
                         if controls is not None else None,
-                        obs=obs)
+                        events=events)
     registry = telemetry.registry \
         if (telemetry is not None and telemetry.enabled) else None
     slo = SLOTracker(config.tick_cycles, registry=registry,
@@ -310,7 +309,7 @@ def run_campaign(config: CampaignConfig, telemetry=None,
             tick_cycles=config.tick_cycles,
             checkpoint_interval=config.checkpoint_interval,
             worker_factory=_spare_worker, audit=config.recovery_audit,
-            telemetry=telemetry, forensics=forensics)
+            events=events)
         for worker in workers:
             manager.attach(worker)
     result = CampaignResult(config)
@@ -381,9 +380,9 @@ def run_campaign(config: CampaignConfig, telemetry=None,
             if supervisor.running(wid):
                 workers[wid].inject_hang(config.hang[2])
                 result.events.append((now, "hang_injected", wid, ""))
-                if forensics is not None:
-                    forensics.fleet_event("hang_injected", now, wid=wid,
-                                          ticks=config.hang[2])
+                if events is not None:
+                    events.emit("hang_injected", now, wid=wid,
+                                ticks=config.hang[2])
         # 3. Supervisor timers (promotions + reboots).
         for wid in supervisor.tick(now):
             workers[wid].boot()
@@ -432,11 +431,6 @@ def run_campaign(config: CampaignConfig, telemetry=None,
                         slo.on_recovery(rto)
                         result.events.append(
                             (now, "promoted", worker.wid, ""))
-                        if obs is not None:
-                            # Requeued requests keep their trace ids; the
-                            # note marks where the serving enclave changed.
-                            obs.tracer.note("failover_promoted", now,
-                                            wid=worker.wid)
         # 5b. Recovery upkeep: replica apply + sealed checkpoints of
         # idle workers whose interval elapsed.
         if manager is not None:

@@ -68,8 +68,7 @@ class Supervisor:
     def __init__(self, worker_ids, cold_start: Optional[ColdStartModel] = None,
                  rewarm_scale: float = 1.0, tick_cycles: int = 5_000,
                  startup_ticks: int = 1, crash_loop_k: int = 3,
-                 crash_loop_window: int = 60, telemetry=None,
-                 forensics=None):
+                 crash_loop_window: int = 60, events=None):
         model = cold_start or ColdStartModel()
         self.model = model.scaled(rewarm_scale) \
             if rewarm_scale != model.rewarm_scale else model
@@ -77,10 +76,8 @@ class Supervisor:
         self.startup_ticks = startup_ticks
         self.crash_loop_k = crash_loop_k
         self.crash_loop_window = crash_loop_window
-        self.telemetry = telemetry \
-            if (telemetry is not None and telemetry.enabled) else None
-        self.forensics = forensics \
-            if (forensics is not None and forensics.enabled) else None
+        #: Optional ``repro.obs.events.EventHub`` for lifecycle events.
+        self.events = events
         self.records: Dict[int, WorkerRecord] = {
             wid: WorkerRecord() for wid in worker_ids}
         for record in self.records.values():
@@ -119,17 +116,15 @@ class Supervisor:
         record.crash_ticks.append(now)
         record.crashes += 1
         record.crash_reasons.append(reason)
-        if self.forensics is not None:
-            self.forensics.fleet_crash(now, worker.wid, reason)
+        events = self.events
+        if events is not None:
+            events.emit("worker_crash", now, wid=worker.wid, reason=reason)
         if len(record.crash_ticks) >= self.crash_loop_k:
             record.status = DEAD
             self.deaths += 1
-            if self.telemetry is not None:
-                self.telemetry.fleet_event("dead", worker.wid, now,
-                                           detail=reason)
-            if self.forensics is not None:
-                self.forensics.fleet_event("worker_dead", now,
-                                           wid=worker.wid, reason=reason)
+            if events is not None:
+                events.emit("worker_dead", now, wid=worker.wid,
+                            reason=reason)
             return None
         cost = worker.vm.enclave.cold_start_cycles(self.model)
         record.restarts += 1
@@ -139,9 +134,9 @@ class Supervisor:
         # The replacement is serving again once the cold start has been
         # paid down, one tick of simulated cycles at a time.
         record.ready_at = now + max(1, -(-cost // self.tick_cycles))
-        if self.telemetry is not None:
-            self.telemetry.fleet_event("crash", worker.wid, now,
-                                       detail=reason)
+        if events is not None:
+            events.emit("restart_scheduled", now, wid=worker.wid,
+                        reason=reason)
         return cost
 
     def tick(self, now: int) -> List[int]:
@@ -154,11 +149,8 @@ class Supervisor:
                 record.status = STARTING
                 record.ready_at = now + self.startup_ticks
                 boots.append(wid)
-                if self.telemetry is not None:
-                    self.telemetry.fleet_event("restart", wid, now)
-                if self.forensics is not None:
-                    self.forensics.fleet_event("worker_restart", now,
-                                               wid=wid)
+                if self.events is not None:
+                    self.events.emit("worker_restart", now, wid=wid)
             elif record.status == STARTING and now >= record.ready_at:
                 record.status = HEALTHY
         return boots
@@ -177,10 +169,8 @@ class Supervisor:
         record = self.records[wid]
         record.status = STARTING
         record.ready_at = now + self.startup_ticks + max(0, extra_ticks)
-        if self.telemetry is not None:
-            self.telemetry.fleet_event("promote", wid, now)
-        if self.forensics is not None:
-            self.forensics.fleet_event("replica_promoted", now, wid=wid)
+        if self.events is not None:
+            self.events.emit("replica_promoted", now, wid=wid)
 
     # ------------------------------------------------------------------
     def summary(self) -> Dict[str, object]:

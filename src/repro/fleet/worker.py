@@ -29,6 +29,7 @@ from repro.errors import (
 )
 from repro.faults import FaultInjector, derive
 from repro.harness.runner import build_server_vm
+from repro.obs import events as events_mod
 from repro.vm import machine as vm_mod
 from repro.vm import policy as violation_policy
 from repro.workloads import NetworkSim
@@ -113,7 +114,8 @@ class EnclaveWorker:
             # worker stamps it at submit, so recv must not overwrite it
             # with the NetworkSim message id.
             vm.external_rids = True
-            vm.net.forensics = self.forensics
+            # Recorder only: fleet telemetry never counted net events.
+            vm.net.events = events_mod.hub(forensics=self.forensics)
             vm.net.clock = (lambda v=vm: v.counters.instructions)
         if self.epc_spike_rate > 0.0 and self.faults_seed is not None:
             # Noisy-neighbour analog: a co-tenant occasionally thrashes

@@ -15,10 +15,10 @@ Three cooperating pieces (see DESIGN.md, "Forensics & flight recorder"):
   latency-percentile regression, crash-loop precursor) emitting alert
   records into the event log.
 
-Like telemetry, forensics is off by default and zero-cost when off: no
-VM, enclave, network or fleet hot path does forensics work unless a
-``Forensics`` object is attached, and attaching one never changes
-simulated counters — every capture path reads memory with the cache/EPC
+Like telemetry, forensics is off by default and zero-cost when off:
+records shared with other sinks come through :mod:`repro.obs.events`,
+whose hub is not built without an enabled handle, other hooks cost one
+``is None`` test, and every capture path reads memory with the cache/EPC
 tracer detached and charges nothing.
 """
 
@@ -77,25 +77,12 @@ class Forensics:
         self.postmortems: List[Dict[str, object]] = []
         self.postmortems_dropped = 0
 
-    # -- lifecycle -------------------------------------------------------
-    def attach_vm(self, vm) -> None:
-        """Hook this handle into a VM's enclave (EPC fault/flush records)."""
-        vm.enclave.attach_forensics(self)
-
     # -- recording passthrough -------------------------------------------
     def record(self, kind: str, ts: int = 0, cat: str = "",
                rid: Optional[int] = None, wid: Optional[int] = None,
                **detail) -> None:
         self.recorder.record(kind, ts=ts, cat=cat, rid=rid, wid=wid,
                              **detail)
-
-    # -- enclave hooks ---------------------------------------------------
-    def epc_fault(self, page: int, ts: int, resident: int) -> None:
-        self.recorder.record("epc_fault", ts=ts, cat="epc", page=page,
-                             resident=resident)
-
-    def epc_flush(self, evicted: int) -> None:
-        self.recorder.record("epc_flush", cat="epc", evicted=evicted)
 
     # -- scheme hook -----------------------------------------------------
     def on_violation(self, vm, scheme, err: BoundsViolation,
@@ -147,19 +134,6 @@ class Forensics:
                              trigger=report["trigger"],
                              index=len(self.postmortems) - 1)
         return report
-
-    # -- fleet hooks -----------------------------------------------------
-    def fleet_event(self, kind: str, now: int, wid: Optional[int] = None,
-                    rid: Optional[int] = None, **detail) -> None:
-        """Lifecycle record on the tick clock (dispatch/crash/restart/
-        breaker/requeue/expire)."""
-        self.recorder.record(kind, ts=now, cat="fleet", rid=rid, wid=wid,
-                             **detail)
-
-    def fleet_crash(self, now: int, wid: int, reason: str) -> None:
-        """A worker crashed: record it and feed the crash-loop precursor."""
-        self.fleet_event("worker_crash", now, wid=wid, reason=reason)
-        self.monitor.on_crash(now, wid)
 
     # -- export ----------------------------------------------------------
     def summary(self) -> Dict[str, object]:

@@ -184,8 +184,8 @@ def run_server(source: str, requests_by_conn: Sequence[Sequence[bytes]],
     if vm.telemetry is not None:
         vm.telemetry.label_run(f"{name}/{scheme_name}")
         vm.net.telemetry = vm.telemetry
+    vm.net.events = vm.events
     if vm.forensics is not None:
-        vm.net.forensics = vm.forensics
         vm.net.clock = (lambda v=vm: v.counters.instructions)
     for conn_requests in requests_by_conn:
         vm.net.connect(*conn_requests)

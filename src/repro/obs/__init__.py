@@ -18,11 +18,12 @@ Four cooperating pieces (see DESIGN.md, "Request observatory"):
   snapshot merging telemetry counters, SLO summaries, alert states and
   every drop counter.
 
-Like telemetry and forensics, the observatory is off by default and
-zero-cost when off: no fleet hot path does observability work unless an
-:class:`Observability` handle is attached, attaching one never charges
-simulated counters, and default campaign output is byte-identical with
-the subsystem absent or disabled.
+Balancer hops and the failover note arrive through the
+:mod:`~repro.obs.events` hub, which all three sinks share.  The
+observatory is off by default and zero-cost when off: no hub is built
+without an enabled handle, attaching one never charges simulated
+counters, and default campaign output is byte-identical with the
+subsystem absent or disabled.
 """
 
 from __future__ import annotations

@@ -104,8 +104,8 @@ class OverloadControls:
 def build_controls(mode: str, scheme: str, deadline_ticks: int,
                    priority_mix: Tuple[Tuple[str, int], ...] = (),
                    client_retries: int = 3, retry_refill: float = 0.1,
-                   retry_burst: float = 4.0, telemetry=None,
-                   forensics=None) -> Optional[OverloadControls]:
+                   retry_burst: float = 4.0,
+                   events=None) -> Optional[OverloadControls]:
     """Construct the overload layer for one campaign (None for ``off``)."""
     if mode == OFF:
         return None
@@ -116,7 +116,7 @@ def build_controls(mode: str, scheme: str, deadline_ticks: int,
     brownout = BrownoutController() if protected else None
     admission = AdmissionController(
         scheme, deadline_ticks, enabled=protected, brownout=brownout,
-        telemetry=telemetry, forensics=forensics)
+        events=events)
     swarm = ClientSwarm(budgeted=protected, max_retries=client_retries,
                         refill_per_success=retry_refill, burst=retry_burst)
     return OverloadControls(mode, admission, swarm,

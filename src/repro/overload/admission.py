@@ -78,15 +78,14 @@ class AdmissionController:
     def __init__(self, scheme: str, deadline_ticks: int,
                  enabled: bool = True, brownout=None,
                  estimator: Optional[ServiceEstimator] = None,
-                 telemetry=None, forensics=None):
+                 events=None):
         self.scheme = scheme
         self.deadline_ticks = deadline_ticks
         self.enabled = enabled
         self.brownout = brownout
         self.estimator = estimator or ServiceEstimator()
-        self.telemetry = telemetry \
-            if (telemetry is not None and telemetry.enabled) else None
-        self.forensics = forensics
+        #: Optional ``repro.obs.events.EventHub`` for rejections.
+        self.events = events
         self.admitted = 0
         self.rejected_by_reason: Dict[str, int] = {
             REJECT_DEADLINE: 0, REJECT_SHED: 0}
@@ -132,13 +131,9 @@ class AdmissionController:
             self.rejected_by_reason.get(reason, 0) + 1
         cls = request.priority
         self.rejected_by_class[cls] = self.rejected_by_class.get(cls, 0) + 1
-        if self.telemetry is not None:
-            self.telemetry.overload_event(f"reject_{reason}", now,
-                                          priority=cls)
-        if self.forensics is not None:
-            self.forensics.record(
-                "admission_reject", ts=now, cat="overload", rid=request.rid,
-                priority=cls, reason=reason)
+        if self.events is not None:
+            self.events.emit("admission_reject", now, rid=request.rid,
+                             priority=cls, reason=reason)
 
     def observe_tick(self, now: int, queue_depth: int,
                      epc_faults_total: int) -> None:

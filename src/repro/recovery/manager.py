@@ -88,7 +88,7 @@ class RecoveryManager:
     def __init__(self, mode: str, app, app_name: str, tick_cycles: int,
                  checkpoint_interval: int, worker_factory,
                  sealing: Optional[SealingService] = None,
-                 audit: bool = True, telemetry=None, forensics=None):
+                 audit: bool = True, events=None):
         if mode not in MODES:
             raise ValueError(f"unknown recovery mode {mode!r}; "
                              f"expected one of {MODES}")
@@ -100,10 +100,8 @@ class RecoveryManager:
         self.worker_factory = worker_factory
         self.sealing = sealing or SealingService()
         self.audit_enabled = audit
-        self.telemetry = telemetry \
-            if (telemetry is not None and telemetry.enabled) else None
-        self.forensics = forensics \
-            if (forensics is not None and forensics.enabled) else None
+        #: Optional ``repro.obs.events.EventHub`` for ``recovery_*`` events.
+        self.events = events
         self.snapshots = mode in (SNAPSHOT, SNAPSHOT_WAL, REPLICA)
         self.wal_replay = mode in (SNAPSHOT_WAL, REPLICA)
         self.replicated = mode == REPLICA
@@ -125,12 +123,12 @@ class RecoveryManager:
     def _ticks(self, cycles: int) -> int:
         return -(-max(0, cycles) // self.tick_cycles)
 
-    def _event(self, kind: str, wid: int, now: int, **detail) -> None:
-        if self.telemetry is not None:
-            self.telemetry.fleet_event(f"recovery_{kind}", wid, now)
-        if self.forensics is not None:
-            self.forensics.fleet_event(f"recovery_{kind}", now, wid=wid,
-                                       **detail)
+    def _failed(self, shard: ShardState, kind: str, wid: int, now: int,
+                **detail) -> None:
+        """Count one recovery failure and report it."""
+        shard.recovery_failures += 1
+        if self.events is not None:
+            self.events.emit(kind, now, wid=wid, **detail)
 
     # ------------------------------------------------------------------
     def attach(self, worker) -> None:
@@ -175,7 +173,9 @@ class RecoveryManager:
         shard.lost_events.append((now, lost))
         if shard.crash_at is None:
             shard.crash_at = now
-        self._event("state_loss", wid, now, lost_acked=lost, dead=dead)
+        if self.events is not None:
+            self.events.emit("recovery_state_loss", now, wid=wid,
+                             lost_acked=lost, dead=dead)
         return lost
 
     def on_restart(self, worker, now: int,
@@ -194,8 +194,8 @@ class RecoveryManager:
                 try:
                     worker.drive_control(record.payload)
                 except (ReproError, RuntimeError):
-                    shard.recovery_failures += 1
-                    self._event("replay_failed", wid, now, seq=record.seq)
+                    self._failed(shard, "recovery_replay_failed", wid, now,
+                                 seq=record.seq)
                     continue
                 worker.applied_rids.add(record.rid)
                 shard.replays += 1
@@ -205,8 +205,10 @@ class RecoveryManager:
             rto = (now + startup_ticks + extra_ticks) - shard.crash_at
             shard.rtos.append(rto)
             shard.crash_at = None
-        self._event("restored", wid, now, extra_ticks=extra_ticks,
-                    rto_ticks=rto, replayed=shard.replays)
+        if self.events is not None:
+            self.events.emit("recovery_restored", now, wid=wid,
+                             extra_ticks=extra_ticks, rto_ticks=rto,
+                             replayed=shard.replays)
         return extra_ticks, rto
 
     def _restore_checkpoint(self, worker, shard: ShardState,
@@ -224,9 +226,8 @@ class RecoveryManager:
             # Stale or corrupt blob: refuse it and fall back to the WAL
             # tail alone — losing freshness silently is the one thing a
             # rollback-protected store must never do.
-            shard.recovery_failures += 1
-            self._event("unseal_rejected", wid, now,
-                        reason=type(err).__name__)
+            self._failed(shard, "recovery_unseal_rejected", wid, now,
+                         reason=type(err).__name__)
             return 0
         worker.vm.charge(cycles)
         try:
@@ -235,9 +236,8 @@ class RecoveryManager:
                 worker.drive_control(self.app.restore_request(record))
             shard.restores += len(records)
         except (ReproError, ValueError, RuntimeError) as err:
-            shard.recovery_failures += 1
-            self._event("restore_failed", wid, now,
-                        reason=type(err).__name__)
+            self._failed(shard, "recovery_restore_failed", wid, now,
+                         reason=type(err).__name__)
             return 0
         return wal_seq
 
@@ -261,8 +261,10 @@ class RecoveryManager:
             shard.rtos.append(rto)
             shard.crash_at = None
         self.promotions += 1
-        self._event("promoted", wid, now, extra_ticks=extra_ticks,
-                    rto_ticks=rto, drained=link.applied)
+        if self.events is not None:
+            self.events.emit("recovery_promoted", now, wid=wid,
+                             extra_ticks=extra_ticks, rto_ticks=rto,
+                             drained=link.applied)
         return standby, extra_ticks, rto
 
     # -- periodic work --------------------------------------------------
@@ -295,9 +297,8 @@ class RecoveryManager:
                 self.app.snapshot_request())
             records = self.app.parse_snapshot(messages)
         except (ReproError, ValueError, RuntimeError) as err:
-            shard.recovery_failures += 1
-            self._event("snapshot_failed", wid, now,
-                        reason=type(err).__name__)
+            self._failed(shard, "recovery_snapshot_failed", wid, now,
+                         reason=type(err).__name__)
             shard.last_ckpt_tick = now
             return
         horizon = max(shard.ckpt_seq, shard.wal.last_committed_seq())
@@ -310,8 +311,10 @@ class RecoveryManager:
         shard.ckpt_seq = horizon
         shard.last_ckpt_tick = now
         shard.checkpoints += 1
-        self._event("checkpoint", wid, now, records=len(records),
-                    sealed_bytes=len(payload), counter=blob.counter)
+        if self.events is not None:
+            self.events.emit("recovery_checkpoint", now, wid=wid,
+                             records=len(records), sealed_bytes=len(payload),
+                             counter=blob.counter)
 
     # -- audit + summary ------------------------------------------------
     def _materialize(self, wid: int):

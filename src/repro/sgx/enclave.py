@@ -97,39 +97,24 @@ class Enclave:
         self.caches = CacheHierarchy(self.config.l1_bytes, self.config.llc_bytes)
         self.epc = EPC(self.config.epc_bytes) if self.config.enclave else None
         self.counters = PerfCounters()
-        #: Observability hooks; installed via :meth:`attach_telemetry` /
-        #: :meth:`attach_forensics` so the default trace path stays free
-        #: of observer code entirely.
+        #: Telemetry publishing the final cache/EPC gauges (set by
+        #: ``Telemetry.attach_vm``); None by default.
         self.telemetry = None
-        self.forensics = None
+        #: Event hub for EPC faults and flushes; installed via
+        #: :meth:`attach_events` so the default trace path stays free of
+        #: observer code entirely.
+        self.events = None
         # The unaddressable last page (paper §4.4) protects hoisted checks.
         self.space.map(GUARD_PAGE_BASE, PAGE_SIZE, PERM_GUARD, "guard")
         self.space.tracer = self._trace
 
-    def attach_telemetry(self, telemetry) -> None:
-        """Swap in the telemetry-aware trace hook (EPC-fault events)."""
-        self.telemetry = telemetry
-        self._install_tracer()
+    def attach_events(self, events) -> None:
+        """Swap in the observed trace hook (EPC fault and flush events;
+        counters unchanged)."""
+        self.events = events
+        self.space.tracer = self._trace_observed
         if self.epc is not None:
-            self.epc.telemetry = telemetry
-
-    def attach_forensics(self, forensics) -> None:
-        """Swap in the forensics-aware trace hook (EPC fault/flush
-        records into the flight recorder; counters unchanged)."""
-        self.forensics = forensics
-        self._install_tracer()
-        if self.epc is not None:
-            self.epc.forensics = forensics
-
-    def _install_tracer(self) -> None:
-        if self.telemetry is not None and self.forensics is not None:
-            self.space.tracer = self._trace_observed
-        elif self.telemetry is not None:
-            self.space.tracer = self._trace_telemetry
-        elif self.forensics is not None:
-            self.space.tracer = self._trace_forensics
-        else:
-            self.space.tracer = self._trace
+            self.epc.events = events
 
     # ------------------------------------------------------------------
     def _trace(self, address: int, size: int, is_write: bool) -> None:
@@ -144,45 +129,10 @@ class Enclave:
             if self.epc.touch(address >> PAGE_SHIFT):
                 counters.epc_faults += 1
 
-    def _trace_telemetry(self, address: int, size: int,
-                         is_write: bool) -> None:
-        """The same accounting as :meth:`_trace`, plus fault telemetry.
-        Charges identical counters — telemetry only observes."""
-        counters = self.counters
-        if is_write:
-            counters.stores += 1
-        else:
-            counters.loads += 1
-        depth = self.caches.access(address, size, counters)
-        if depth == 2 and self.epc is not None:
-            counters.mee_decrypts += 1
-            if self.epc.touch(address >> PAGE_SHIFT):
-                counters.epc_faults += 1
-                self.telemetry.epc_fault(address >> PAGE_SHIFT,
-                                         counters.instructions,
-                                         self.epc.resident_pages)
-
-    def _trace_forensics(self, address: int, size: int,
-                         is_write: bool) -> None:
-        """The same accounting as :meth:`_trace`, plus an EPC-fault
-        flight-recorder record.  Charges identical counters."""
-        counters = self.counters
-        if is_write:
-            counters.stores += 1
-        else:
-            counters.loads += 1
-        depth = self.caches.access(address, size, counters)
-        if depth == 2 and self.epc is not None:
-            counters.mee_decrypts += 1
-            if self.epc.touch(address >> PAGE_SHIFT):
-                counters.epc_faults += 1
-                self.forensics.epc_fault(address >> PAGE_SHIFT,
-                                         counters.instructions,
-                                         self.epc.resident_pages)
-
     def _trace_observed(self, address: int, size: int,
                         is_write: bool) -> None:
-        """Telemetry and forensics both attached; identical charges."""
+        """The same accounting as :meth:`_trace`, plus an ``epc_fault``
+        event per fault.  Charges identical counters."""
         counters = self.counters
         if is_write:
             counters.stores += 1
@@ -193,12 +143,9 @@ class Enclave:
             counters.mee_decrypts += 1
             if self.epc.touch(address >> PAGE_SHIFT):
                 counters.epc_faults += 1
-                page = address >> PAGE_SHIFT
-                resident = self.epc.resident_pages
-                self.telemetry.epc_fault(page, counters.instructions,
-                                         resident)
-                self.forensics.epc_fault(page, counters.instructions,
-                                         resident)
+                self.events.emit("epc_fault", counters.instructions,
+                                 page=address >> PAGE_SHIFT,
+                                 resident=self.epc.resident_pages)
 
     # ------------------------------------------------------------------
     def cycles(self) -> int:

@@ -26,12 +26,10 @@ class EPC:
         self.evictions = 0
         self.pages_touched: set = set()
         self.peak_resident = 0
-        #: Optional ``repro.telemetry.Telemetry`` observing flush events
-        #: (fault events are published by the enclave's trace hook, which
+        #: Optional ``repro.obs.events.EventHub`` observing flush events
+        #: (fault events are emitted by the enclave's trace hook, which
         #: owns the instruction clock).
-        self.telemetry = None
-        #: Optional ``repro.forensics.Forensics`` recording flush events.
-        self.forensics = None
+        self.events = None
 
     def touch(self, page: int) -> bool:
         """Mark ``page`` accessed from memory; returns True if it faulted."""
@@ -62,10 +60,8 @@ class EPC:
         evicted = len(self._resident)
         self._resident.clear()
         self.evictions += evicted
-        if self.telemetry is not None:
-            self.telemetry.epc_flush(evicted)
-        if self.forensics is not None:
-            self.forensics.epc_flush(evicted)
+        if self.events is not None:
+            self.events.emit("epc_flush", 0, evicted=evicted)
         return evicted
 
     def reset(self) -> None:

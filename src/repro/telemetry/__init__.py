@@ -12,9 +12,10 @@ Three cooperating pieces (see DESIGN.md, "Telemetry & attribution"):
   and the scheme-vs-native overhead decomposition (Table 3's
   check / cache / EPC-fault cycle split).
 
-Telemetry is off by default and zero-cost when off: no VM, enclave or
-network hot path does telemetry work unless a ``Telemetry`` object is
-attached, and attaching one never changes simulated counters.
+Telemetry is off by default and zero-cost when off: events shared with
+other sinks come through :mod:`repro.obs.events`, whose hub is not
+built without an enabled handle, other hooks cost one ``is None`` test,
+and attaching a handle never changes simulated counters.
 """
 
 from __future__ import annotations

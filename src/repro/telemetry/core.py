@@ -44,10 +44,11 @@ class Telemetry:
 
     # -- lifecycle -------------------------------------------------------
     def attach_vm(self, vm: "VM") -> None:
-        """Hook this telemetry into a VM and its enclave (one pid lane)."""
+        """Give a VM its own pid lane; its enclave publishes the final
+        cache/EPC gauges here."""
         self._runs += 1
         self.tracer.pid = self._runs
-        vm.enclave.attach_telemetry(self)
+        vm.enclave.telemetry = self
 
     def label_run(self, name: str) -> None:
         """Name the current run's process lane in the trace."""
@@ -90,26 +91,7 @@ class Telemetry:
         self.registry.histogram("request.instructions",
                                 SPAN_BOUNDS).observe(max(1, ts1 - ts0))
 
-    def request_dropped(self, tid: int, ts: int, depth: int) -> None:
-        """Drop-request recovery rolled a thread back to its checkpoint."""
-        self.registry.counter("vm.requests_dropped").inc()
-        self.tracer.unwind(tid, depth, ts)
-        self.tracer.instant("request_dropped", ts, tid, cat="recovery")
-
-    # -- enclave / scheme hooks ------------------------------------------
-    def epc_fault(self, page: int, ts: int, resident: int) -> None:
-        self.registry.counter("epc.faults").inc()
-        self.registry.histogram("epc.resident_pages").observe(
-            max(1, resident))
-        self.tracer.instant("epc_fault", ts, 0, cat="epc",
-                            args={"page": page})
-
-    def epc_flush(self, evicted: int) -> None:
-        self.registry.counter("epc.flushes").inc()
-        self.registry.counter("epc.flush_evictions").inc(evicted)
-        self.tracer.instant("epc_flush", self.tracer.last_ts, 0, cat="epc",
-                            args={"evicted": evicted})
-
+    # -- scheme hook -----------------------------------------------------
     def violation(self, scheme: str, err: BoundsViolation, ts: int,
                   tid: int = 0) -> None:
         self.registry.counter(f"violations.{scheme}").inc()
@@ -117,26 +99,6 @@ class Telemetry:
                             args={"scheme": scheme,
                                   "address": err.address,
                                   "access": getattr(err, "access", None)})
-
-    # -- fleet hooks ------------------------------------------------------
-    def fleet_event(self, kind: str, wid: int, tick: int,
-                    detail: str = "") -> None:
-        """Lifecycle event from the fleet supervisor/balancer
-        (crash/restart/dead/breaker-open/watchdog)."""
-        self.registry.counter(f"fleet.{kind}").inc()
-        self.tracer.instant(f"fleet_{kind}", self.tracer.last_ts, wid,
-                            cat="fleet",
-                            args={"worker": wid, "tick": tick,
-                                  "detail": detail})
-
-    def overload_event(self, kind: str, tick: int,
-                       priority: str = "") -> None:
-        """Admission/brownout event from the overload layer
-        (reject-deadline/reject-shed/brownout level changes)."""
-        self.registry.counter(f"overload.{kind}").inc()
-        self.tracer.instant(f"overload_{kind}", self.tracer.last_ts, 0,
-                            cat="overload",
-                            args={"tick": tick, "priority": priority})
 
     # -- run-end collection ----------------------------------------------
     def collect_counters(self, snapshot: Dict[str, int],

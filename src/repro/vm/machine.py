@@ -270,8 +270,14 @@ class VM:
         #: as telemetry — None by default, normalized, observation-only.
         self.forensics = forensics \
             if (forensics is not None and forensics.enabled) else None
-        if self.forensics is not None:
-            self.forensics.attach_vm(self)
+        #: Event hub over both handles (EPC faults/flushes, dropped
+        #: requests); None when neither is attached, and then the hub
+        #: module is not even imported.
+        self.events = None
+        if self.telemetry is not None or self.forensics is not None:
+            from repro.obs.events import hub   # deferred: zero cost off
+            self.events = hub(self.telemetry, self.forensics)
+            self.enclave.attach_events(self.events)
         #: Request correlation (forensics): the id/payload of the request
         #: currently being served, and whether ids come from an external
         #: dispatcher (the fleet balancer) or from NetworkSim message ids.
@@ -509,15 +515,11 @@ class VM:
         self.charge(RECOVERY_COST)
         self.dropped_requests += 1
         self.recovered_requests += 1
-        if self.telemetry is not None:
-            self.telemetry.request_dropped(thread.tid,
-                                           self.counters.instructions,
-                                           len(thread.frames))
-        if self.forensics is not None:
-            self.forensics.record(
-                "request_dropped", ts=self.counters.instructions,
-                cat="request", rid=self.request_id, wid=self.worker_id,
-                tid=thread.tid, conn=ckpt.conn,
+        if self.events is not None:
+            self.events.emit(
+                "request_dropped", self.counters.instructions,
+                wid=self.worker_id, rid=self.request_id, tid=thread.tid,
+                depth=len(thread.frames), conn=ckpt.conn,
                 reason=type(err).__name__)
         net = getattr(self, "net", None)
         if net is not None and hasattr(net, "fail_request"):

@@ -108,11 +108,11 @@ class NetworkSim:
         #: Optional ``repro.telemetry.Telemetry``; when attached, delivery
         #: events are published into its metrics registry.
         self.telemetry = None
-        #: Optional ``repro.forensics.Forensics``; when attached, retry
-        #: and error-reply paths record events carrying the originating
-        #: message id (``stats()`` aggregates lose it).
-        self.forensics = None
-        #: Clock for forensic records (callable returning the simulated
+        #: Optional ``repro.obs.events.EventHub``; when attached, the
+        #: retry, error-reply and rejection paths emit events carrying the
+        #: originating message id (``stats()`` aggregates lose it).
+        self.events = None
+        #: Clock for those events (callable returning the simulated
         #: timestamp); the VM wires its instruction counter in here.
         self.clock = None
         #: Message id of the most recent :meth:`recv` delivery (full or
@@ -130,7 +130,7 @@ class NetworkSim:
         self._traces: Dict[int, str] = {}
 
     def _now(self) -> int:
-        """Simulated timestamp for forensic records (0 without a clock)."""
+        """Simulated timestamp for events (0 without a clock)."""
         return self.clock() if self.clock is not None else 0
 
     def _stats(self, conn: int) -> ConnStats:
@@ -242,8 +242,6 @@ class NetworkSim:
         if attempt < self.retry_limit:
             self._attempts[mid] = attempt + 1
             stats.retries += 1
-            if self.telemetry is not None:
-                self.telemetry.registry.counter("net.retries").inc()
             backoff = self.backoff_cycles << attempt
             if self._rng is not None:
                 backoff += self._rng.randrange(0, self.backoff_cycles // 4 + 1)
@@ -253,23 +251,19 @@ class NetworkSim:
             # never a fresh root.
             self._incoming.setdefault(conn, deque()).append(
                 self._message(raw, mid=mid, trace=self._traces.get(mid)))
-            if self.forensics is not None:
-                self.forensics.record(
-                    "net_retry", ts=self._now(), cat="net", conn=conn,
-                    mid=mid, attempt=attempt + 1,
-                    backoff_cycles=backoff)
+            if self.events is not None:
+                self.events.emit("net_retry", self._now(), conn=conn,
+                                 mid=mid, attempt=attempt + 1,
+                                 backoff_cycles=backoff)
             return True
         self._attempts.pop(mid, None)
         self._traces.pop(mid, None)
         stats.failed += 1
         stats.errors += 1
         stats.error_replies += 1
-        if self.telemetry is not None:
-            self.telemetry.registry.counter("net.request_errors").inc()
-        if self.forensics is not None:
-            self.forensics.record(
-                "net_error", ts=self._now(), cat="net", conn=conn,
-                mid=mid, attempts=attempt)
+        if self.events is not None:
+            self.events.emit("net_error", self._now(), conn=conn, mid=mid,
+                             attempts=attempt)
         # Surface the failure to the client without counting it as a
         # served response.
         self._outgoing.setdefault(conn, []).append(ERROR_MARKER)
@@ -285,11 +279,8 @@ class NetworkSim:
         stats = self._stats(conn)
         stats.rejected += 1
         self._outgoing.setdefault(conn, []).append(REJECTED_MARKER)
-        if self.telemetry is not None:
-            self.telemetry.registry.counter("net.rejected").inc()
-        if self.forensics is not None:
-            self.forensics.record(
-                "net_rejected", ts=self._now(), cat="net", conn=conn)
+        if self.events is not None:
+            self.events.emit("net_rejected", self._now(), conn=conn)
 
     def sent(self, conn: int) -> List[bytes]:
         """Everything the server wrote to ``conn``."""

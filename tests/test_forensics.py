@@ -35,6 +35,7 @@ from repro.forensics import (
 )
 from repro.harness.runner import run_workload
 from repro.mpx import MPXScheme
+from repro.obs.events import hub
 from repro.sgx.counters import COUNTER_FIELDS
 from repro.telemetry import Telemetry, flame_rows
 from repro.telemetry.tracer import SpanTracer
@@ -321,7 +322,7 @@ class TestNetSimCorrelation:
     def test_push_returns_mid_and_retry_records_carry_it(self):
         forensics = Forensics()
         net = NetworkSim(retry_limit=1)
-        net.forensics = forensics
+        net.events = hub(forensics=forensics)
         conn = net.connect()
         mid = net.push(conn, b"req")
         assert isinstance(mid, int)
@@ -340,7 +341,7 @@ class TestNetSimCorrelation:
     def test_netsim_clock_stamps_timestamps(self):
         forensics = Forensics()
         net = NetworkSim(retry_limit=1)
-        net.forensics = forensics
+        net.events = hub(forensics=forensics)
         net.clock = lambda: 4242
         conn = net.connect(b"x")
         net.recv(conn, 64)

@@ -7,6 +7,8 @@ import pytest
 from repro.fleet import Balancer, CampaignConfig, Request, Supervisor, \
     run_campaign
 from repro.fleet.slo import SLOTracker
+from repro.forensics import Forensics
+from repro.obs.events import hub
 from repro.overload import (
     DEFAULT_MIX,
     PRIORITIES,
@@ -264,6 +266,17 @@ class TestBuildControls:
         assert controls.admission.enabled
         assert controls.admission.brownout is not None
         assert controls.swarm.budgeted
+
+    def test_disabled_recorder_keeps_no_admission_rejects(self):
+        disabled, enabled = Forensics(enabled=False), Forensics()
+        for forensics in (disabled, enabled):
+            controls = build_controls("protected", "sgxbounds", 20,
+                                      events=hub(forensics=forensics))
+            controls.admission.on_reject(Request(0, b"x", 0),
+                                         REJECT_DEADLINE, now=3)
+        assert len(disabled.recorder) == 0
+        assert [r.kind for r in enabled.recorder.events()] \
+            == ["admission_reject"]
 
     def test_priority_assignment_cycles_the_pattern(self):
         controls = build_controls("protected", "sgxbounds", 20,

@@ -78,6 +78,9 @@ class EnclaveWorker:
         self.telemetry = telemetry
         self.forensics = forensics \
             if (forensics is not None and forensics.enabled) else None
+        #: Recorder-only hub for each incarnation's NetworkSim (fleet
+        #: telemetry never counted net events); stateless, so shared.
+        self._net_events = events_mod.hub(forensics=self.forensics)
         #: Optional ``repro.obs.Observability``; when attached, each
         #: completed service attempt reports its counter delta (exact
         #: because workers are depth-1) for critical-path attribution.
@@ -95,17 +98,26 @@ class EnclaveWorker:
         self.crashes = 0
         self.total_cycles = 0             # summed over dead incarnations
         self.total_epc_faults = 0         # likewise (anomaly detection)
+        #: The instrumented, finalized module, built by the first boot
+        #: from the same scheme kwargs and policy every boot uses, then
+        #: loaded read-only by every later incarnation.
+        self.image = None
         self.vm = None
         self.boot()
 
     # ------------------------------------------------------------------
     def boot(self) -> None:
-        """Build a fresh incarnation (new scheme clone, enclave, VM)."""
+        """Build a fresh incarnation: new scheme runtime, enclave, VM,
+        load and predecode cache.  Only the instrumented image is reused
+        from the first boot; the simulated cold-start price is the
+        supervisor's and does not change."""
         self.incarnations += 1
         vm, scheme = build_server_vm(
             self.module, self.scheme_name, config=self.config,
             scheme_kwargs=self.scheme_kwargs, policy=self.policy,
-            telemetry=self.telemetry, forensics=self.forensics)
+            telemetry=self.telemetry, forensics=self.forensics,
+            image=self.image)
+        self.image = vm.program.module
         vm.net_blocking = True
         vm.net = NetworkSim()
         vm.worker_id = self.wid
@@ -114,8 +126,7 @@ class EnclaveWorker:
             # worker stamps it at submit, so recv must not overwrite it
             # with the NetworkSim message id.
             vm.external_rids = True
-            # Recorder only: fleet telemetry never counted net events.
-            vm.net.events = events_mod.hub(forensics=self.forensics)
+            vm.net.events = self._net_events
             vm.net.clock = (lambda v=vm: v.counters.instructions)
         if self.epc_spike_rate > 0.0 and self.faults_seed is not None:
             # Noisy-neighbour analog: a co-tenant occasionally thrashes

@@ -82,6 +82,15 @@ def _finish(result: RunResult, vm: VM,
     return result
 
 
+def instrument_and_finalize(module, scheme: Optional[SchemeRuntime]):
+    """The compile-side pipeline: ``scheme``'s passes (a plain clone for
+    native) then finalize.  ``module`` is never mutated, and nothing at
+    run time mutates the finalized image, so one image can be loaded by
+    any number of VMs."""
+    image = scheme.instrument(module) if scheme else module.clone()
+    return image.finalize()
+
+
 def run_workload(workload: Workload, scheme_name: str,
                  size: Optional[str] = None, threads: Optional[int] = None,
                  config: Optional[EnclaveConfig] = None,
@@ -101,9 +110,8 @@ def run_workload(workload: Workload, scheme_name: str,
     args = workload.args_for(size, threads)
     result = RunResult(workload.name, scheme_name, size, args[1])
     scheme = SCHEMES[scheme_name](**(scheme_kwargs or {}))
-    module = compile_source(workload.source, workload.name)
-    module = scheme.instrument(module) if scheme else module.clone()
-    module.finalize()
+    module = instrument_and_finalize(
+        compile_source(workload.source, workload.name), scheme)
     enclave = Enclave(config) if config is not None else Enclave()
     telemetry = telemetry if telemetry is not None \
         else telemetry_mod.get_default()
@@ -131,21 +139,29 @@ def build_server_vm(module, scheme_name: str,
                     scheme_kwargs: Optional[Dict] = None,
                     policy: Optional[str] = None,
                     seed: Optional[int] = None, telemetry=None,
-                    forensics=None, fastpath: Optional[bool] = None):
+                    forensics=None, fastpath: Optional[bool] = None,
+                    image=None):
     """Shared server build path: scheme → instrument → Enclave → VM.
 
     ``module`` is a *compiled but uninstrumented* MiniC module; it is never
     mutated (instrumentation clones), so one compile can feed many VM
-    incarnations — :mod:`repro.fleet` rebuilds crashed workers through this
-    exact path.  Returns ``(vm, scheme)`` with the instrumented module
-    already loaded; the caller attaches net/faults and calls ``run``.
+    incarnations.  Returns ``(vm, scheme)`` with the instrumented image
+    already loaded (``vm.program.module``); the caller attaches net/faults
+    and calls ``run``.
+
+    ``image`` skips instrument and finalize.  It must be the
+    ``vm.program.module`` of an earlier call with the same scheme name,
+    kwargs and policy: the image depends on all three, since the
+    continuing policies turn SGXBounds' loop hoisting off.
+    :mod:`repro.fleet` restarts a crashed worker this way.  The scheme
+    runtime, enclave, VM, load and predecode are always fresh.
     """
     kwargs = dict(scheme_kwargs or {})
     if policy is not None and scheme_name != "native":
         kwargs.setdefault("policy", policy)
     scheme = SCHEMES[scheme_name](**kwargs)
-    instrumented = scheme.instrument(module) if scheme else module.clone()
-    instrumented.finalize()
+    if image is None:
+        image = instrument_and_finalize(module, scheme)
     enclave = Enclave(config) if config is not None else Enclave()
     telemetry = telemetry if telemetry is not None \
         else telemetry_mod.get_default()
@@ -153,7 +169,7 @@ def build_server_vm(module, scheme_name: str,
         else forensics_mod.get_default()
     vm = VM(enclave=enclave, scheme=scheme, seed=seed, telemetry=telemetry,
             forensics=forensics, fastpath=fastpath)
-    vm.load(instrumented)
+    vm.load(image)
     return vm, scheme
 
 

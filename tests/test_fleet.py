@@ -391,6 +391,101 @@ class TestWorkerServes:
         assert worker.served == 1
 
 
+def _memcached_module():
+    from repro.minic import compile_source
+    from repro.workloads.apps import memcached
+    return compile_source(memcached.SOURCE, "memcached")
+
+
+def _image_shape(image):
+    return (image.stats(), dict(image.meta),
+            {name: len(fn.code) for name, fn in image.functions.items()})
+
+
+class TestImageReuse:
+    """A worker instruments its module once; every incarnation loads
+    that one image into a fresh scheme runtime, enclave and VM."""
+
+    def _crash(self, worker):
+        from repro.workloads.apps import memcached
+        worker.submit(0, memcached.cve_2011_4971_request())
+        for _ in range(200):
+            report = worker.run_tick(5_000)
+            if report.crash is not None:
+                return report.crash
+        raise AssertionError("the CVE request did not crash the worker")
+
+    def test_restarts_reuse_the_image_and_rebuild_the_rest(self,
+                                                           monkeypatch):
+        from repro.core import SGXBoundsScheme
+        from repro.harness.experiments import APP_CONFIG
+
+        calls = []
+        instrument = SGXBoundsScheme.instrument
+
+        def counting(scheme, module):
+            calls.append(scheme)
+            return instrument(scheme, module)
+
+        monkeypatch.setattr(SGXBoundsScheme, "instrument", counting)
+        worker = EnclaveWorker(0, _memcached_module(), "sgxbounds",
+                               policy="abort", config=APP_CONFIG)
+        image = worker.image
+        seen = [(worker.scheme, worker.vm.enclave, worker.vm)]
+        for _ in range(3):
+            assert self._crash(worker) == "BoundsViolation"
+            assert worker.scheme.violations == 1
+            worker.boot()
+            seen.append((worker.scheme, worker.vm.enclave, worker.vm))
+            assert worker.vm.program.module is image
+            assert worker.scheme.violations == 0
+        assert len(calls) == 1
+        assert worker.incarnations == 4
+        for part in range(3):
+            assert len({id(parts[part]) for parts in seen}) == len(seen)
+        assert len({id(vm.program) for _, _, vm in seen}) == len(seen)
+
+    def test_campaign_with_restarts_leaves_images_unchanged(self,
+                                                            monkeypatch):
+        from repro.fleet import campaign as campaign_mod
+
+        workers = []
+
+        class Recording(EnclaveWorker):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                workers.append((self, self.image, _image_shape(self.image)))
+
+        monkeypatch.setattr(campaign_mod, "EnclaveWorker", Recording)
+        result = run_campaign(CampaignConfig(
+            policy="abort", workers=2, fault_rate=0.2, seed=77, size="XS"))
+        assert result.supervisor["restarts"] > 0
+        assert any(worker.incarnations > 1 for worker, _, _ in workers)
+        for worker, image, before in workers:
+            assert worker.image is image
+            assert _image_shape(image) == before
+
+    def test_image_follows_the_policy(self):
+        from repro.core import SGXBoundsScheme
+        from repro.harness.experiments import APP_CONFIG
+        from repro.harness.runner import instrument_and_finalize
+
+        module = _memcached_module()
+        abort = EnclaveWorker(0, module, "sgxbounds", policy="abort",
+                              config=APP_CONFIG).image
+        assert abort.meta["hoisted_accesses"] == 1
+        assert abort.stats()["instructions"] == 310
+        # Continuing policies turn loop hoisting off, so the image is not
+        # a function of the scheme name alone.
+        boundless = EnclaveWorker(0, module, "sgxbounds", policy="boundless",
+                                  config=APP_CONFIG).image
+        assert boundless.meta.get("hoisted_accesses", 0) == 0
+        assert boundless.stats()["instructions"] == 311
+        fresh = instrument_and_finalize(
+            module, SGXBoundsScheme(policy="boundless"))
+        assert boundless.stats() == fresh.stats()
+
+
 class TestCampaigns:
     def test_seeded_campaigns_are_byte_identical(self):
         config = CampaignConfig(policy="abort", workers=2, fault_rate=0.2,

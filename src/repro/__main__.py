@@ -3,22 +3,17 @@
 Usage::
 
     python -m repro list
-    python -m repro fig1 fig7 tab4
-    python -m repro fig7 --size S
-    python -m repro all
-    python -m repro profile fig07 --size XS --trace-out trace.json \\
-        --metrics-out metrics.json
+    python -m repro fig1 fig7 tab4 --size S
+    python -m repro profile fig07 --trace-out trace.json
 
-Any experiment accepts ``--trace-out``/``--metrics-out``: the run then
-executes with telemetry attached and exports a Chrome-loadable trace and
-a metrics-registry snapshot.  ``--log-out`` does the same with a
-forensics flight recorder (structured event log, JSONL or text by file
-extension).  ``profile`` additionally computes the per-function
-scheme-vs-native overhead attribution (the paper's Table-3
-decomposition) and, with ``--results-out``, drops a machine-readable
-result into ``benchmarks/results/``.  ``postmortem <app>`` runs a seeded
-fleet chaos campaign with forensics attached and prints the first crash
-postmortem (decoded faulting pointer, MiniC stack, correlated events).
+Every command is one row of :data:`EXPERIMENTS`: a driver returning
+``(data, text)`` and writers for the artifacts it owns, its
+``--results-out`` document among them.  One loop prints each report to
+stdout and every status line (``[fig7: 1.2s]``, ``[results -> r.json]``)
+to stderr.  ``--trace-out``/``--metrics-out``/``--log-out`` go to a
+shared telemetry or forensics sink when a selected row records into it,
+merging those rows into one file; any other path flag must be written by
+exactly one selected run, else the command ends in a usage error.
 """
 
 from __future__ import annotations
@@ -26,360 +21,283 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import dataclass, field
+from pathlib import Path
+from typing import Callable, Dict, Mapping, Optional, Tuple
 
+from repro import forensics as forensics_mod
+from repro import telemetry as telemetry_mod
+from repro.fleet.balancer import POLICIES as BALANCE_POLICIES
 from repro.harness import experiments as exp
+from repro.harness.chaos import PROFILES, chaos_availability
+from repro.harness.profile import profile_experiment, resolve_target
+from repro.obs.dashboard import observe_fleet
+from repro.redteam import matrix_document, run_matrix
+from repro.telemetry.results import result_document, to_jsonable, write_json
+from repro.vm.policy import ALL_POLICIES
+from repro.workloads import SIZES
 
-EXPERIMENTS = {
-    "tab1": lambda args: exp.tab1_defenses(),
-    "fig1": lambda args: exp.fig1_sqlite(),
-    "fig7": lambda args: exp.fig7_phoenix_parsec(size=args.size),
-    "fig8": lambda args: exp.fig8_working_set(),
-    "fig9": lambda args: exp.fig9_multithreading(size=args.size),
-    "fig10": lambda args: exp.fig10_optimizations(size=args.size),
-    "tab4": lambda args: exp.tab4_ripe(),
-    "fig11": lambda args: exp.fig11_spec_sgx(size=args.size),
-    "fig12": lambda args: exp.fig12_spec_native(size=args.size),
-    "fig13": lambda args: exp.fig13_case_studies(),
-    "chaos": lambda args: _chaos(args),
-    "fleet": lambda args: _fleet(args),
-    "recover": lambda args: _recover(args),
-    "redteam": lambda args: _redteam(args),
-    "overload": lambda args: _overload(args),
-    "observe": lambda args: _observe(args),
+#: Path flags a shared telemetry/forensics sink can serve.
+SINKS = ("trace_out", "metrics_out", "log_out")
+#: Every path flag, in the order a run writes its artifacts.
+ARTIFACTS = SINKS + ("metrics_text_out", "results_out")
+
+Writer = Callable[[object, str], None]
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One CLI command; ``run(args, target)`` returns ``(data, text)``."""
+
+    run: Callable[[argparse.Namespace, Optional[str]], Tuple[object, str]]
+    #: flag -> ``write(data, path)`` for each artifact the run owns.
+    artifacts: Mapping[str, Writer] = field(default_factory=dict)
+    #: sink flags whose shared sink records this run.
+    sinks: Tuple[str, ...] = SINKS
+    #: positional targets (``profile fig07``): metavar for ``list``, a
+    #: validator raising ``KeyError``, and the target when none is given.
+    targets: Optional[str] = None
+    check: Optional[Callable[[str], object]] = None
+    default: Optional[str] = None
+
+
+def _sized(driver):
+    return lambda args, _: driver(size=args.size)
+
+
+def _policies(args):
+    return ([args.policy] if args.policy
+            else ["abort", "drop-request", "boundless"])
+
+
+def _json(key):
+    return lambda data, path: write_json(path, data[key])
+
+
+def _results(build):
+    """The ``--results-out`` writer: ``build(data)`` is the document."""
+    return {"results_out": lambda data, path: write_json(path, build(data))}
+
+
+def _pick(data, keys):
+    return {key: data[key] for key in keys}
+
+
+def _fleet_app(app):
+    if app not in PROFILES:
+        raise KeyError(f"unknown fleet app {app!r}; "
+                       f"expected one of {sorted(PROFILES)}")
+
+
+_OBSERVE_KEYS = ("app", "size", "seed", "workers", "schemes", "exemplars",
+                 "alerts")
+_PROFILE_KEYS = ("experiment", "size", "schemes", "baseline", "metrics")
+
+EXPERIMENTS: Dict[str, Experiment] = {
+    "tab1": Experiment(lambda args, _: exp.tab1_defenses()),
+    "fig1": Experiment(lambda args, _: exp.fig1_sqlite()),
+    "fig7": Experiment(_sized(exp.fig7_phoenix_parsec)),
+    "fig8": Experiment(lambda args, _: exp.fig8_working_set()),
+    "fig9": Experiment(_sized(exp.fig9_multithreading)),
+    "fig10": Experiment(_sized(exp.fig10_optimizations)),
+    "tab4": Experiment(lambda args, _: exp.tab4_ripe()),
+    "fig11": Experiment(_sized(exp.fig11_spec_sgx)),
+    "fig12": Experiment(_sized(exp.fig12_spec_native)),
+    "fig13": Experiment(lambda args, _: exp.fig13_case_studies()),
+    "chaos": Experiment(lambda args, _: chaos_availability(
+        policies=_policies(args), fault_rates=(0.0, args.fault_rate),
+        size=args.size, seed=args.seed)),
+    "fleet": Experiment(lambda args, _: exp.fleet_availability(
+        app=args.app, workers=args.workers, fault_rate=args.fault_rate,
+        seed=args.seed, size=args.size, policies=_policies(args),
+        rewarm_scales=args.rewarm_scales, balance=args.balance)),
+    # recover and overload fix their campaign shapes (workers, fault
+    # rate, rates) so failover and saturation deterministically occur.
+    "recover": Experiment(
+        lambda args, _: exp.recovery_rpo(policies=_policies(args),
+                                         size=args.size),
+        artifacts=_results(lambda data: result_document(
+            "recovery_rpo", {"cells": data}))),
+    "redteam": Experiment(lambda args, _: run_matrix(seed=args.seed),
+                          artifacts=_results(matrix_document)),
+    "overload": Experiment(
+        lambda args, _: exp.overload_goodput(size=args.size,
+                                             seed=args.seed),
+        artifacts=_results(lambda data: result_document(
+            "overload_goodput", {"cells": data}))),
+    # Alone, --trace-out is the fleet tracer's causal hop trees; beside
+    # other experiments the shared telemetry sink owns it.  The alert
+    # campaigns need a telemetry registry only for the exposition.
+    "observe": Experiment(
+        lambda args, _: observe_fleet(
+            app=args.app, workers=args.workers, seed=args.seed,
+            size=args.size, telemetry=telemetry_mod.Telemetry()
+            if args.metrics_text_out else None),
+        artifacts={"metrics_text_out": lambda data, path: Path(
+                       path).write_text(data["exposition"]),
+                   "trace_out": _json("chrome_trace"),
+                   **_results(lambda data: result_document(
+                       "observe_dashboard", _pick(data, _OBSERVE_KEYS)))},
+        sinks=("log_out",)),
+    "profile": Experiment(
+        lambda args, target: profile_experiment(target, size=args.size),
+        artifacts={"trace_out": _json("trace"),
+                   "metrics_out": lambda data, path: write_json(
+                       path, to_jsonable(_pick(data, _PROFILE_KEYS))),
+                   **_results(lambda data: result_document(
+                       f"profile_{data['experiment']}_{data['size']}",
+                       _pick(data, _PROFILE_KEYS)))},
+        sinks=(), targets="<experiment|workload>", check=resolve_target),
+    "postmortem": Experiment(
+        lambda args, target: exp.fleet_postmortem(
+            app=target, policy=args.policy or "abort",
+            workers=args.workers, fault_rate=args.fault_rate,
+            seed=args.seed, size=args.size, balance=args.balance),
+        artifacts={"log_out":
+                   lambda data, path: data["forensics"].write_log(path),
+                   **_results(lambda data: result_document(
+                       f"postmortem_{data['app']}",
+                       {"campaign": data["result"].as_dict(),
+                        "postmortems": data["forensics"].postmortems}))},
+        sinks=(), targets="<app>", check=_fleet_app, default="memcached"),
 }
 
-#: Experiments whose stdout must be byte-identical across runs (CI diffs
-#: them); their wall-clock timing line goes to stderr instead.
-_STDERR_TIMING = {"fleet", "recover", "redteam", "overload", "observe"}
+#: Writers for the shared sinks, given ``(telemetry, forensics)``.
+_SINK_WRITERS: Dict[str, Writer] = {
+    "trace_out": lambda s, path: write_json(path, s[0].chrome_trace()),
+    "metrics_out": lambda s, path: write_json(path, s[0].metrics_snapshot()),
+    "log_out": lambda s, path: s[1].write_log(path),
+}
 
 
-def _postmortem(args) -> int:
-    """``python -m repro postmortem <app>`` — seeded crash forensics.
-
-    Runs one fleet chaos campaign (abort policy by default, so faults
-    crash workers) with a flight recorder attached and prints the first
-    captured postmortem.  Stdout is byte-identical per seed; the timing
-    line goes to stderr so CI can diff two runs.
-    """
-    from repro import forensics as forensics_mod
-    from repro.fleet.campaign import CampaignConfig, run_campaign
-    from repro.telemetry import results as results_mod
-
-    targets = args.experiments[1:] or ["memcached"]
-    for target in targets:
-        started = time.time()
-        forensics = forensics_mod.Forensics()
-        config = CampaignConfig(
-            app=target, scheme="sgxbounds", policy=args.policy or "abort",
-            workers=args.workers, fault_rate=args.fault_rate,
-            seed=args.seed, size=args.size, balance=args.balance)
-        try:
-            result = run_campaign(config, forensics=forensics)
-        except ValueError as err:
-            print(f"postmortem: {err}", file=sys.stderr)
-            return 2
-        summary = forensics.summary()
-        slo = result.slo
-        print(f"== postmortem {target} (scheme={config.scheme} "
-              f"policy={config.policy} seed={config.seed} "
-              f"fault_rate={config.fault_rate}) ==")
-        print(f"campaign: ticks={result.ticks} crashes={result.crashes} "
-              f"watchdog_kills={result.watchdog_kills} "
-              f"submitted={slo['submitted']} served={slo['served']} "
-              f"failed={slo['failed']}")
-        print(f"flight recorder: {summary['events_recorded']} events "
-              f"({summary['events_retained']} retained, "
-              f"{summary['events_dropped']} dropped)")
-        alerts = summary["alerts"]
-        by_detector = " ".join(
-            f"{name}={count}"
-            for name, count in sorted(alerts["by_detector"].items()))
-        print(f"alerts: total={alerts['total']}"
-              + (f" {by_detector}" if by_detector else ""))
-        print(f"postmortems: {summary['postmortems']} captured, "
-              f"{summary['postmortems_dropped']} dropped")
-        if forensics.postmortems:
-            print()
-            print(forensics_mod.render_postmortem(forensics.postmortems[0]))
-        if args.results_out:
-            document = results_mod.result_document(
-                f"postmortem_{target}",
-                {"campaign": result.as_dict(),
-                 "postmortems": forensics.postmortems})
-            results_mod.write_json(args.results_out, document)
-            print(f"[results -> {args.results_out}]")
-        if args.log_out:
-            forensics.write_log(args.log_out)
-            print(f"[log -> {args.log_out}]")
-        print(f"[postmortem {target}: {time.time() - started:.1f}s]",
-              file=sys.stderr)
-    return 0
+def _status(line: str) -> None:
+    """The one sink for status lines: stdout carries only reports."""
+    print(line, file=sys.stderr)
 
 
-def _chaos(args):
-    from repro.harness.chaos import chaos_availability
-    policies = ([args.policy] if args.policy
-                else ["abort", "drop-request", "boundless"])
-    return chaos_availability(policies=policies,
-                              fault_rates=(0.0, args.fault_rate),
-                              size=args.size, seed=args.seed)
+def _write(writers: Mapping[str, Writer], data, paths: Mapping[str, str]):
+    for flag, path in paths.items():
+        writers[flag](data, path)
+        _status(f"[{flag[:-4].replace('_', '-')} -> {path}]")
 
 
-def _fleet(args):
-    policies = ([args.policy] if args.policy
-                else ["abort", "drop-request", "boundless"])
-    return exp.fleet_availability(app=args.app, workers=args.workers,
-                                  fault_rate=args.fault_rate,
-                                  seed=args.seed, size=args.size,
-                                  policies=policies,
-                                  rewarm_scales=args.rewarm_scales,
-                                  balance=args.balance)
+def _runs(parser, args):
+    """Resolve the positional arguments into ``(label, row, target)``."""
+    head, rest = args.experiments[0], args.experiments[1:]
+    row = EXPERIMENTS.get(head)
+    if row is not None and row.targets:
+        targets = rest or ([row.default] if row.default else [])
+        if not targets:
+            parser.error(f"{head}: expected at least one {row.targets} "
+                         f"(e.g. 'python -m repro profile fig07')")
+        for target in targets:
+            try:
+                row.check(target)
+            except KeyError as err:
+                parser.error(f"{head}: {err.args[0]}")
+        return [(f"{head} {target}", row, target) for target in targets]
+    names = ([name for name, row in EXPERIMENTS.items() if not row.targets]
+             if args.experiments == ["all"] else args.experiments)
+    for name in names:
+        if name not in EXPERIMENTS or EXPERIMENTS[name].targets:
+            parser.error(f"unknown experiment {name!r}; try 'list'")
+    return [(name, EXPERIMENTS[name], None) for name in names]
 
 
-def _recover(args):
-    """Stateful-recovery sweep.  Campaign shape (workers, fault rate,
-    seed, write mix) is fixed by the experiment so deaths — and thus
-    replica failover — deterministically occur; only the policy set and
-    size are taken from the command line, keeping stdout diffable."""
-    policies = ([args.policy] if args.policy
-                else ["abort", "drop-request", "boundless"])
-    data, text = exp.recovery_rpo(policies=policies, size=args.size)
-    if args.results_out:
-        from repro.telemetry import results as results_mod
-        cells = {"/".join(map(str, key)): value
-                 for key, value in data.items()}
-        document = results_mod.result_document("recovery_rpo",
-                                               {"cells": cells})
-        results_mod.write_json(args.results_out, document)
-        print(f"[results -> {args.results_out}]", file=sys.stderr)
-    return data, text
+def _route(parser, args, runs):
+    """Apply the artifact rule: (shared sink paths, per-run paths)."""
+    shared: Dict[str, str] = {}
+    owned = [{} for _ in runs]
+    for flag in ARTIFACTS:
+        path = getattr(args, flag)
+        if path is None:
+            continue
+        if flag in SINKS and any(flag in row.sinks for _, row, _ in runs):
+            shared[flag] = path
+            continue
+        owners = [i for i, (_, row, _) in enumerate(runs)
+                  if flag in row.artifacts]
+        option = "--" + flag.replace("_", "-")
+        if not owners:
+            parser.error(f"{option}: {' '.join(args.experiments)} "
+                         f"writes no such artifact")
+        if len(owners) > 1:
+            labels = ", ".join(runs[i][0] for i in owners)
+            parser.error(f"{option}: {labels} would all write {path}; "
+                         f"run them separately")
+        owned[owners[0]][flag] = path
+    return shared, owned
 
 
-def _redteam(args):
-    """Attack-synthesis triage sweep + detection matrix (ISSUE 7).
-
-    Stdout is byte-identical per seed (CI diffs two runs); with
-    ``--results-out`` the versioned matrix artifact is written too."""
-    from repro.redteam import matrix_document, run_matrix
-    data, text = run_matrix(seed=args.seed)
-    if args.results_out:
-        from repro.telemetry import results as results_mod
-        results_mod.write_json(args.results_out, matrix_document(data))
-        print(f"[results -> {args.results_out}]", file=sys.stderr)
-    return data, text
-
-
-def _overload(args):
-    """Overload-protection sweep (ISSUE 8): congestion collapse vs
-    admission control + retry budgets + brownout shedding.
-
-    Campaign shape (workers, fault rate, rates, deadline) is fixed by
-    the experiment so saturation deterministically occurs; only size and
-    seed come from the command line, keeping stdout diffable per seed."""
-    data, text = exp.overload_goodput(size=args.size, seed=args.seed)
-    if args.results_out:
-        from repro.telemetry import results as results_mod
-        cells = {"/".join(map(str, key)): value
-                 for key, value in data.items()}
-        document = results_mod.result_document("overload_goodput",
-                                               {"cells": cells})
-        results_mod.write_json(args.results_out, document)
-        print(f"[results -> {args.results_out}]", file=sys.stderr)
-    return data, text
-
-
-def _observe(args):
-    """Request observatory dashboard (ISSUE 9): causal traces,
-    critical-path attribution, burn-rate alerts, unified export.
-
-    Campaign shapes (healthy attribution fleet + the collapsing overload
-    cell) are fixed by the driver so stdout is byte-identical per seed;
-    app, workers, seed and size come from the command line.  Artifacts:
-    ``--metrics-text-out`` writes the merged Prometheus exposition,
-    ``--trace-out`` the exemplar campaign's Chrome trace, and
-    ``--results-out`` the versioned machine-readable dashboard."""
-    from repro.obs.dashboard import observe_fleet
-
-    telemetry = None
-    if args.metrics_text_out:
-        from repro import telemetry as telemetry_mod
-        telemetry = telemetry_mod.Telemetry()
-    data, text = observe_fleet(app=args.app, workers=args.workers,
-                               seed=args.seed, size=args.size,
-                               telemetry=telemetry)
-    if args.metrics_text_out:
-        with open(args.metrics_text_out, "w") as handle:
-            handle.write(data["exposition"])
-        print(f"[metrics-text -> {args.metrics_text_out}]",
-              file=sys.stderr)
-    if args.trace_out:
-        from repro import telemetry as telemetry_mod
-        if telemetry_mod.get_default() is None:
-            # Standalone observe: --trace-out means the fleet tracer's
-            # causal hop trees (a global telemetry run owns it otherwise).
-            from repro.telemetry import results as results_mod
-            results_mod.write_json(args.trace_out, data["chrome_trace"])
-            print(f"[trace -> {args.trace_out}]", file=sys.stderr)
-    if args.results_out:
-        from repro.telemetry import results as results_mod
-        payload = {
-            "app": data["app"], "size": data["size"],
-            "seed": data["seed"], "workers": data["workers"],
-            "schemes": data["schemes"], "exemplars": data["exemplars"],
-            "alerts": data["alerts"],
-        }
-        document = results_mod.result_document("observe_dashboard",
-                                               payload)
-        results_mod.write_json(args.results_out, document)
-        print(f"[results -> {args.results_out}]", file=sys.stderr)
-    return data, text
-
-
-def _profile(args) -> int:
-    """``python -m repro profile <target>...`` — overhead attribution."""
-    from repro.harness.profile import profile_experiment
-    from repro.telemetry import results as results_mod
-
-    targets = args.experiments[1:]
-    if not targets:
-        print("profile: expected at least one experiment id or workload "
-              "name (e.g. 'python -m repro profile fig07')",
-              file=sys.stderr)
-        return 2
-    for target in targets:
-        started = time.time()
-        try:
-            data, text = profile_experiment(target, size=args.size)
-        except KeyError as err:
-            print(f"profile: {err.args[0]}", file=sys.stderr)
-            return 2
-        print(text)
-        if args.trace_out:
-            results_mod.write_json(args.trace_out, data["trace"])
-            print(f"[trace -> {args.trace_out}]")
-        if args.metrics_out:
-            results_mod.write_json(
-                args.metrics_out,
-                results_mod.to_jsonable(
-                    {key: data[key] for key in
-                     ("experiment", "size", "schemes", "baseline",
-                      "metrics")}))
-            print(f"[metrics -> {args.metrics_out}]")
-        if args.results_out:
-            document = results_mod.result_document(
-                f"profile_{data['experiment']}_{data['size']}",
-                {key: data[key] for key in
-                 ("experiment", "size", "schemes", "baseline", "metrics")})
-            results_mod.write_json(args.results_out, document)
-            print(f"[results -> {args.results_out}]")
-        print(f"[profile {target}: {time.time() - started:.1f}s]\n")
-    return 0
-
-
-def main(argv=None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Regenerate the SGXBounds paper's tables and figures "
                     "on the simulated SGX substrate.")
     parser.add_argument("experiments", nargs="+",
-                        help="experiment ids (see 'list'), 'all', or "
-                             "'profile <id>' for overhead attribution")
-    parser.add_argument("--size", default="XS",
-                        help="workload size for sweeps (XS/S/M/L/XL)")
-    parser.add_argument("--policy", default=None,
-                        help="violation policy for the chaos experiment "
-                             "(abort/boundless/log-and-continue/"
-                             "drop-request; default: compare all)")
+                        help="experiment ids (see 'list') or 'all'")
+    parser.add_argument("--size", default="XS", choices=SIZES,
+                        help="workload size for sweeps")
+    parser.add_argument("--policy", default=None, choices=ALL_POLICIES,
+                        help="violation policy (default: compare abort, "
+                             "drop-request and boundless)")
     parser.add_argument("--fault-rate", type=float, default=0.2,
                         help="request corruption probability for chaos")
     parser.add_argument("--seed", type=int, default=1234,
                         help="chaos run seed (fuzzer/scheduler/clients)")
-    parser.add_argument("--app", default="memcached",
-                        help="fleet: server app (memcached/nginx/apache)")
+    parser.add_argument("--app", default="memcached", choices=tuple(PROFILES),
+                        help="fleet/observe: server app")
     parser.add_argument("--workers", type=int, default=4,
                         help="fleet: number of enclave workers")
     parser.add_argument("--balance", default="round-robin",
-                        help="fleet: dispatch policy (round-robin/"
-                             "least-outstanding)")
+                        choices=BALANCE_POLICIES,
+                        help="fleet: dispatch policy")
     parser.add_argument("--rewarm-scales", type=float, nargs="+",
                         default=(1.0, 8.0), metavar="SCALE",
-                        help="fleet: EPC re-warm multipliers to sweep "
-                             "(restart cost knob)")
-    parser.add_argument("--trace-out", default=None, metavar="PATH",
+                        help="fleet: EPC re-warm multipliers to sweep")
+    parser.add_argument("--trace-out", metavar="PATH",
                         help="export a Chrome trace_event JSON of the run")
-    parser.add_argument("--metrics-text-out", default=None, metavar="PATH",
-                        help="observe: write the merged Prometheus-style "
-                             "text exposition snapshot")
-    parser.add_argument("--metrics-out", default=None, metavar="PATH",
-                        help="export the metrics-registry snapshot (for "
-                             "'profile': the full attribution) as JSON")
-    parser.add_argument("--results-out", default=None, metavar="PATH",
-                        help="profile/postmortem: also write the versioned "
-                             "result document (benchmarks/results/*.json)")
-    parser.add_argument("--log-out", default=None, metavar="PATH",
-                        help="attach a forensics flight recorder and export "
-                             "the event log (.jsonl = JSONL, else text)")
-    args = parser.parse_args(argv)
+    parser.add_argument("--metrics-text-out", metavar="PATH",
+                        help="observe: write the Prometheus-style exposition")
+    parser.add_argument("--metrics-out", metavar="PATH",
+                        help="export the metrics snapshot as JSON")
+    owners = "/".join(name for name, row in EXPERIMENTS.items()
+                      if "results_out" in row.artifacts)
+    parser.add_argument("--results-out", metavar="PATH",
+                        help=f"{owners}: write the versioned result "
+                             f"document (benchmarks/results/*.json)")
+    parser.add_argument("--log-out", metavar="PATH",
+                        help="export the flight-recorder event log (.jsonl "
+                             "= JSONL, else text)")
+    return parser
 
+
+def main(argv=None) -> int:
+    parser = _parser()
+    args = parser.parse_args(argv)
     if args.experiments == ["list"]:
-        for name in EXPERIMENTS:
-            print(f"  {name}")
-        print("  profile <experiment|workload>")
-        print("  postmortem <app>")
+        for name, row in EXPERIMENTS.items():
+            print(f"  {name} {row.targets}" if row.targets else f"  {name}")
         return 0
 
-    if args.experiments[0] == "profile":
-        return _profile(args)
-
-    if args.experiments[0] == "postmortem":
-        return _postmortem(args)
-
-    wanted = list(EXPERIMENTS) if args.experiments == ["all"] \
-        else args.experiments
-
-    telemetry = None
-    if (args.trace_out or args.metrics_out) and wanted != ["observe"]:
-        # observe exports its own FleetTracer trace; when it runs alone,
-        # --trace-out means that trace, not a global telemetry one.
-        from repro import telemetry as telemetry_mod
-        telemetry = telemetry_mod.Telemetry()
-        telemetry_mod.set_default(telemetry)
-
-    forensics = None
-    if args.log_out:
-        from repro import forensics as forensics_mod
-        forensics = forensics_mod.Forensics()
-        forensics_mod.set_default(forensics)
-    for name in wanted:
-        runner = EXPERIMENTS.get(name)
-        if runner is None:
-            print(f"unknown experiment {name!r}; try 'list'", file=sys.stderr)
-            return 2
-        started = time.time()
-        _, text = runner(args)
-        print(text)
-        timing = f"[{name}: {time.time() - started:.1f}s]\n"
-        if name in _STDERR_TIMING:
-            print(timing, file=sys.stderr)
-        else:
-            print(timing)
-
-    if telemetry is not None:
-        from repro.telemetry import results as results_mod
-        from repro import telemetry as telemetry_mod
+    runs = _runs(parser, args)
+    shared, owned = _route(parser, args, runs)
+    sinks = (telemetry_mod.Telemetry()
+             if {"trace_out", "metrics_out"} & set(shared) else None,
+             forensics_mod.Forensics() if "log_out" in shared else None)
+    telemetry_mod.set_default(sinks[0])
+    forensics_mod.set_default(sinks[1])
+    try:
+        for (label, row, target), paths in zip(runs, owned):
+            started = time.time()
+            data, text = row.run(args, target)
+            print(text)
+            _write(row.artifacts, data, paths)
+            _status(f"[{label}: {time.time() - started:.1f}s]")
+    finally:
         telemetry_mod.set_default(None)
-        if args.trace_out:
-            results_mod.write_json(args.trace_out, telemetry.chrome_trace())
-            print(f"[trace -> {args.trace_out}]")
-        if args.metrics_out:
-            results_mod.write_json(args.metrics_out,
-                                   telemetry.metrics_snapshot())
-            print(f"[metrics -> {args.metrics_out}]")
-    if forensics is not None:
-        from repro import forensics as forensics_mod
         forensics_mod.set_default(None)
-        forensics.write_log(args.log_out)
-        print(f"[log -> {args.log_out}]")
+    _write(_SINK_WRITERS, sinks, shared)
     return 0
 
 

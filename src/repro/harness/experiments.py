@@ -353,6 +353,51 @@ def fleet_availability(app: str = "memcached", workers: int = 4,
     return data, text
 
 
+def fleet_postmortem(app: str = "memcached", policy: str = "abort",
+                     workers: int = 4, fault_rate: float = 0.2,
+                     seed: int = 1234, size: str = "XS",
+                     balance: str = "round-robin") -> Tuple[Dict, str]:
+    """Seeded crash forensics: one fleet chaos campaign (abort policy by
+    default, so faults crash workers) with a flight recorder attached.
+
+    The report is the campaign summary, the alert tally and the first
+    postmortem; ``data`` keeps the campaign result and the recorder.
+    """
+    from repro import forensics as forensics_mod
+    from repro.fleet import CampaignConfig, run_campaign
+    forensics = forensics_mod.Forensics()
+    config = CampaignConfig(app=app, scheme="sgxbounds", policy=policy,
+                            workers=workers, fault_rate=fault_rate,
+                            seed=seed, size=size, balance=balance)
+    result = run_campaign(config, forensics=forensics)
+    summary = forensics.summary()
+    slo = result.slo
+    alerts = summary["alerts"]
+    by_detector = "".join(
+        f" {name}={count}"
+        for name, count in sorted(alerts["by_detector"].items()))
+    lines = [
+        f"== postmortem {app} (scheme={config.scheme} "
+        f"policy={config.policy} seed={config.seed} "
+        f"fault_rate={config.fault_rate}) ==",
+        f"campaign: ticks={result.ticks} crashes={result.crashes} "
+        f"watchdog_kills={result.watchdog_kills} "
+        f"submitted={slo['submitted']} served={slo['served']} "
+        f"failed={slo['failed']}",
+        f"flight recorder: {summary['events_recorded']} events "
+        f"({summary['events_retained']} retained, "
+        f"{summary['events_dropped']} dropped)",
+        f"alerts: total={alerts['total']}{by_detector}",
+        f"postmortems: {summary['postmortems']} captured, "
+        f"{summary['postmortems_dropped']} dropped",
+    ]
+    if forensics.postmortems:
+        lines += ["", forensics_mod.render_postmortem(
+            forensics.postmortems[0])]
+    return {"app": app, "result": result,
+            "forensics": forensics}, "\n".join(lines)
+
+
 # ---------------------------------------------------------------------------
 def recovery_rpo(app: str = "memcached", workers: int = 2,
                  fault_rate: float = 0.25, seed: int = 77,

@@ -35,7 +35,7 @@ def normalize_target(target: str) -> str:
     return name
 
 
-def _resolve(target: str) -> Tuple[List[Workload],
+def resolve_target(target: str) -> Tuple[List[Workload],
                                    Optional[EnclaveConfig]]:
     from repro.harness.experiments import profile_targets
     targets = profile_targets()
@@ -60,7 +60,7 @@ def profile_experiment(target: str, size: str = "XS",
     is the merged Chrome trace document, ``data["metrics"]`` the
     attribution + registry snapshots, keyed by workload then scheme.
     """
-    workloads, config = _resolve(target)
+    workloads, config = resolve_target(target)
     if baseline not in schemes:
         schemes = (baseline,) + tuple(schemes)
     cost = (config or EnclaveConfig()).cost

@@ -11,14 +11,13 @@ The invariants the subsystem promises:
 * exportable — the trace is a valid Chrome ``trace_event`` document and
   the metrics/attribution payloads are strict JSON.
 
-``REPRO_TRACE`` / ``REPRO_METRICS`` env vars point the schema tests at
-externally emitted files (the CI smoke job exercises the CLI this way).
+``tests/test_cli_goldens.py`` runs the same schema checks on the files
+``python -m repro profile`` writes.
 """
 
 import dataclasses
 import json
 import math
-import os
 import warnings
 
 import pytest
@@ -384,35 +383,3 @@ class TestSatellites:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert math.isclose(geomean([2.0, float("nan"), 8.0]), 4.0)
-
-
-# ---------------------------------------------------------------------------
-#: CI smoke hooks: validate externally emitted artifacts.
-TRACE_PATH = os.environ.get("REPRO_TRACE")
-METRICS_PATH = os.environ.get("REPRO_METRICS")
-
-
-@pytest.mark.skipif(not TRACE_PATH, reason="REPRO_TRACE not set")
-def test_external_trace_file_schema():
-    with open(TRACE_PATH) as fh:
-        doc = json.load(fh)
-    _assert_chrome_schema(doc)
-    assert doc["traceEvents"], "emitted trace is empty"
-
-
-@pytest.mark.skipif(not METRICS_PATH, reason="REPRO_METRICS not set")
-def test_external_metrics_file_schema():
-    with open(METRICS_PATH) as fh:
-        doc = json.load(fh)
-    assert doc["baseline"] in doc["schemes"]
-    for workload, per in doc["metrics"].items():
-        runs = per["schemes"]
-        for scheme, run in runs.items():
-            if scheme == per["baseline"]:
-                continue
-            attribution = run["attribution"]
-            assert set(attribution["shares"]) \
-                == {"check", "cache", "epc_fault"}
-            assert attribution["totals"]["total_cycles"] >= 0
-            assert attribution["functions"], \
-                f"{workload}/{scheme}: no per-function attribution"

@@ -58,6 +58,8 @@ class ASanScheme(SchemeRuntime):
     # Shadow-byte checks are plain IR loads/compares; the generic fusion
     # classes apply unchanged and observe identical PerfCounters.
     fastpath_fusion = ("cmp_br", "gep_load", "gep_store")
+    run_state = SchemeRuntime.run_state + (
+        "_live", "_quarantine", "_quarantine_bytes", "redzone_bytes")
 
     def __init__(self, optimize_safe: bool = True,
                  quarantine_bytes: int = QUARANTINE_CAP,

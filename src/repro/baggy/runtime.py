@@ -50,6 +50,7 @@ class BaggyScheme(SchemeRuntime):
     # Baggy's slot-rounded checks are plain IR; the generic fusion
     # classes apply unchanged and observe identical PerfCounters.
     fastpath_fusion = ("cmp_br", "gep_load", "gep_store")
+    run_state = SchemeRuntime.run_state + ("_sizes", "padding_bytes")
 
     def __init__(self, arena_bytes: int = 8 * 1024 * 1024,
                  optimize_safe: bool = True,
@@ -79,6 +80,13 @@ class BaggyScheme(SchemeRuntime):
         # set) point at unmapped space and fault on dereference.
         self.buddy = BuddyAllocator(vm.enclave.space, self.arena_bytes,
                                     top=0x6000_0000)
+
+    def snapshot(self) -> object:
+        return super().snapshot(), self.buddy.snapshot()
+
+    def restore(self, state) -> None:
+        super().restore(state[0])
+        self.buddy.restore(state[1])
 
     # -- size-table maintenance ------------------------------------------------
     def _mark(self, vm: "VM", base: int, order: int) -> None:

@@ -52,6 +52,8 @@ class SGXBoundsScheme(SchemeRuntime):
     # stub), so the generic fusion classes cover them; PerfCounters are
     # identical either way (tests/test_vm_differential.py).
     fastpath_fusion = ("cmp_br", "gep_load", "gep_store")
+    # The metadata manager's hooks are configuration, not run state.
+    run_state = SchemeRuntime.run_state + ("metadata_bytes", "overlay")
 
     def __init__(self, boundless: bool = False, optimize_safe: bool = True,
                  optimize_hoist: bool = True, stack_hooks: bool = False,

@@ -413,9 +413,15 @@ class Balancer:
         failed here but stay queued, so their eventual completion burns
         capacity without producing goodput."""
         expired: List[Request] = []
+        cutoff = now - deadline_ticks
 
         def sweep(queue: Deque[Request],
                   in_place: bool = False) -> Deque[Request]:
+            for request in queue:
+                if request.arrival <= cutoff and not request.terminal:
+                    break
+            else:
+                return queue                 # nothing expires this tick
             kept: Deque[Request] = deque()
             while queue:
                 request = queue.popleft()

@@ -42,11 +42,12 @@ class SLOTracker:
         #: Optional ``repro.forensics.anomaly.AnomalyMonitor``; when
         #: attached its alert tallies surface in :meth:`summary`.
         self.anomalies = anomalies
-        if registry is not None:
-            self.latency = registry.histogram("fleet.latency_cycles",
-                                              LATENCY_BOUNDS)
-        else:
-            self.latency = Histogram("fleet.latency_cycles", LATENCY_BOUNDS)
+        #: This campaign's latencies; the percentiles come from here.
+        self.latency = Histogram("fleet.latency_cycles", LATENCY_BOUNDS)
+        #: The registry's histogram of the same name, fed alongside.  A
+        #: sink shared by several campaigns accumulates all of them.
+        self._registry_latency = None if registry is None else \
+            registry.histogram("fleet.latency_cycles", LATENCY_BOUNDS)
         self.submitted = 0
         self.served = 0
         self.error_replies = 0
@@ -85,6 +86,8 @@ class SLOTracker:
             latency = (request.completed_at - request.arrival + 1) \
                 * self.tick_cycles
             self.latency.observe(latency)
+            if self._registry_latency is not None:
+                self._registry_latency.observe(latency)
             if cls is not None:
                 cls["served"] += 1
             # Timeliness is end-to-end: from the first client attempt,

@@ -98,26 +98,29 @@ class EnclaveWorker:
         self.crashes = 0
         self.total_cycles = 0             # summed over dead incarnations
         self.total_epc_faults = 0         # likewise (anomaly detection)
-        #: The instrumented, finalized module, built by the first boot
-        #: from the same scheme kwargs and policy every boot uses, then
-        #: loaded read-only by every later incarnation.
-        self.image = None
+        #: The worker's one VM: built, loaded and snapshotted by the first
+        #: boot, reset in place by every later one.
         self.vm = None
         self.boot()
 
     # ------------------------------------------------------------------
     def boot(self) -> None:
-        """Build a fresh incarnation: new scheme runtime, enclave, VM,
-        load and predecode cache.  Only the instrumented image is reused
-        from the first boot; the simulated cold-start price is the
-        supervisor's and does not change."""
+        """Start a new incarnation.  The first boot builds the VM, loads
+        the instrumented image and snapshots it; every later boot resets
+        that VM to the snapshot, keeping its predecoded handlers.  The
+        incarnation then gets a fresh NetworkSim, fault injector and main
+        thread.  The simulated cold-start price is the supervisor's and
+        does not change."""
         self.incarnations += 1
-        vm, scheme = build_server_vm(
-            self.module, self.scheme_name, config=self.config,
-            scheme_kwargs=self.scheme_kwargs, policy=self.policy,
-            telemetry=self.telemetry, forensics=self.forensics,
-            image=self.image)
-        self.image = vm.program.module
+        if self.vm is None:
+            self.vm, self.scheme = build_server_vm(
+                self.module, self.scheme_name, config=self.config,
+                scheme_kwargs=self.scheme_kwargs, policy=self.policy,
+                telemetry=self.telemetry, forensics=self.forensics)
+            self.vm.snapshot()
+        else:
+            self.vm.reset()
+        vm = self.vm
         vm.net_blocking = True
         vm.net = NetworkSim()
         vm.worker_id = self.wid
@@ -139,8 +142,6 @@ class EnclaveWorker:
         self.conn = vm.net.connect()
         main_fn = vm.program.functions["main"]
         vm.new_thread(main_fn, (SERVER_ITERATIONS, 1))
-        self.vm = vm
-        self.scheme = scheme
         self.inflight: Optional[Tuple[int, bytes]] = None
         self.last_error: Optional[Exception] = None
         self._fault_thread = None
@@ -243,6 +244,8 @@ class EnclaveWorker:
             if self._watchdog_fired():
                 return self._crash_report("WatchdogTimeout", outcomes)
             return TickReport(outcomes)
+        if not any(t.state == vm_mod.RUNNABLE for t in vm.threads):
+            return TickReport(self._drain_replies())   # parked in recv
         start = vm.enclave.cycles()
         while vm.enclave.cycles() - start < cycle_budget:
             thread = next((t for t in vm.threads

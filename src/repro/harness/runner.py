@@ -139,29 +139,21 @@ def build_server_vm(module, scheme_name: str,
                     scheme_kwargs: Optional[Dict] = None,
                     policy: Optional[str] = None,
                     seed: Optional[int] = None, telemetry=None,
-                    forensics=None, fastpath: Optional[bool] = None,
-                    image=None):
+                    forensics=None, fastpath: Optional[bool] = None):
     """Shared server build path: scheme → instrument → Enclave → VM.
 
     ``module`` is a *compiled but uninstrumented* MiniC module; it is never
-    mutated (instrumentation clones), so one compile can feed many VM
-    incarnations.  Returns ``(vm, scheme)`` with the instrumented image
-    already loaded (``vm.program.module``); the caller attaches net/faults
-    and calls ``run``.
-
-    ``image`` skips instrument and finalize.  It must be the
-    ``vm.program.module`` of an earlier call with the same scheme name,
-    kwargs and policy: the image depends on all three, since the
-    continuing policies turn SGXBounds' loop hoisting off.
-    :mod:`repro.fleet` restarts a crashed worker this way.  The scheme
-    runtime, enclave, VM, load and predecode are always fresh.
+    mutated (instrumentation clones), so one compile can feed many VMs.
+    Returns ``(vm, scheme)`` with the instrumented image already loaded
+    (``vm.program.module``); the caller attaches net/faults and calls
+    ``run``.  :mod:`repro.fleet` builds each worker's VM here once and
+    restarts a crashed worker with ``VM.reset``.
     """
     kwargs = dict(scheme_kwargs or {})
     if policy is not None and scheme_name != "native":
         kwargs.setdefault("policy", policy)
     scheme = SCHEMES[scheme_name](**kwargs)
-    if image is None:
-        image = instrument_and_finalize(module, scheme)
+    image = instrument_and_finalize(module, scheme)
     enclave = Enclave(config) if config is not None else Enclave()
     telemetry = telemetry if telemetry is not None \
         else telemetry_mod.get_default()

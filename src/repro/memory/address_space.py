@@ -398,6 +398,30 @@ class AddressSpace:
         """memset-style fill."""
         self.write(address, bytes((value & 0xFF,)) * size)
 
+    # ------------------------------------------------------------------
+    # Whole-space state (a fleet worker's VM reset)
+    # ------------------------------------------------------------------
+    def snapshot(self) -> tuple:
+        """The mapping, page contents and accounting, by value."""
+        return ({idx: bytes(page) for idx, page in self._pages.items()},
+                dict(self._perms), list(self._runs), self._mapped_pages,
+                [(r.name, r.start, r.size, r.perms) for r in self.regions],
+                self.reserved_bytes, self.peak_reserved)
+
+    def restore(self, state: tuple) -> None:
+        """Return to a :meth:`snapshot`.  ``_pages``, ``_perms`` and
+        ``_runs`` are refilled, not replaced: the VM's predecoded
+        accessors hold the two dicts."""
+        pages, perms, runs, self._mapped_pages, regions, \
+            self.reserved_bytes, self.peak_reserved = state
+        self._pages.clear()
+        self._pages.update((idx, bytearray(page))
+                           for idx, page in pages.items())
+        self._perms.clear()
+        self._perms.update(perms)
+        self._runs[:] = runs
+        self.regions = [Region(*r) for r in regions]
+
     def stats(self) -> Dict[str, int]:
         """Snapshot of mapping statistics."""
         return {

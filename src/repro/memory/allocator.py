@@ -96,6 +96,14 @@ class MmapAllocator:
     def size_of(self, addr: int) -> Optional[int]:
         return self._live.get(addr)
 
+    def snapshot(self) -> tuple:
+        """Allocation state by value (a fleet worker's VM reset)."""
+        return self._cursor, list(self._holes), dict(self._live)
+
+    def restore(self, state: tuple) -> None:
+        cursor, holes, live = state
+        self._cursor, self._holes, self._live = cursor, list(holes), dict(live)
+
 
 class FreeListAllocator:
     """Segregated-free-list ``malloc`` over a brk-grown heap.
@@ -201,6 +209,21 @@ class FreeListAllocator:
         """Bytes of heap address space consumed so far (brk high-water)."""
         return self._mapped_end - self._base
 
+    def snapshot(self) -> tuple:
+        """Heap and mmap allocation state by value (a fleet worker's VM
+        reset)."""
+        return (self._brk, self._mapped_end,
+                {block: list(free) for block, free in self._free.items()},
+                dict(self._live), dict(self._block), self.total_allocs,
+                self.total_frees, self.mmap.snapshot())
+
+    def restore(self, state: tuple) -> None:
+        self._brk, self._mapped_end, free, live, block, self.total_allocs, \
+            self.total_frees, mmap = state
+        self._free = {size: list(addrs) for size, addrs in free.items()}
+        self._live, self._block = dict(live), dict(block)
+        self.mmap.restore(mmap)
+
 
 class BuddyAllocator:
     """Power-of-two buddy allocator over a dedicated arena.
@@ -267,6 +290,17 @@ class BuddyAllocator:
             else:
                 break
         self._free.setdefault(order, []).append(addr)
+
+    def snapshot(self) -> tuple:
+        """Free lists and live blocks by value (a fleet worker's VM
+        reset); the arena itself is fixed."""
+        return ({order: list(free) for order, free in self._free.items()},
+                dict(self._live))
+
+    def restore(self, state: tuple) -> None:
+        free, live = state
+        self._free = {order: list(addrs) for order, addrs in free.items()}
+        self._live = dict(live)
 
     def block_bounds(self, addr: int) -> Tuple[int, int]:
         """(base, size) of the power-of-two block containing ``addr``."""

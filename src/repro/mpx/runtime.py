@@ -51,6 +51,8 @@ class MPXScheme(SchemeRuntime):
     # handler advances PerfCounters check by check, so a violation raised
     # mid-triple carries the exact reference timestamp.
     fastpath_fusion = ("cmp_br", "gep_load", "gep_store", "bnd_access")
+    run_state = SchemeRuntime.run_state + (
+        "bd_base", "bounds_tables", "_bt_cache")
 
     def __init__(self, optimize_safe: bool = True, bt_cover_shift: int = 18,
                  policy: str = violation_policy.ABORT):

@@ -57,6 +57,17 @@ class Cache:
         self.flushes += 1
         self._data.clear()
 
+    def snapshot(self) -> tuple:
+        """Every set's lines in recency order, by value."""
+        return ({index: dict(ways) for index, ways in self._data.items()},
+                self.flushes)
+
+    def restore(self, state: tuple) -> None:
+        """Return to a :meth:`snapshot`, refilling the set map in place."""
+        data, self.flushes = state
+        self._data.clear()
+        self._data.update((index, dict(ways)) for index, ways in data.items())
+
 
 class CacheHierarchy:
     """L1 + LLC; returns the miss depth of each access.
@@ -98,6 +109,13 @@ class CacheHierarchy:
     def flush(self) -> None:
         self.l1.flush()
         self.llc.flush()
+
+    def snapshot(self) -> tuple:
+        return self.l1.snapshot(), self.llc.snapshot()
+
+    def restore(self, state: tuple) -> None:
+        self.l1.restore(state[0])
+        self.llc.restore(state[1])
 
     def stats(self) -> Dict[str, int]:
         """End-of-run occupancy/flush figures the telemetry registry

@@ -47,6 +47,11 @@ class PerfCounters:
         for name in COUNTER_FIELDS:
             setattr(self, name, 0)
 
+    def restore(self, values: Dict[str, int]) -> None:
+        """Set every counter from a :meth:`snapshot`."""
+        for name, value in values.items():
+            setattr(self, name, value)
+
 
 #: Field names precomputed once: ``dataclasses.fields()`` rebuilds a tuple
 #: of Field objects per call, which showed up in profiles of snapshot-heavy

@@ -73,9 +73,6 @@ class EnclaveConfig:
     #: Crash-restart pricing (used by the fleet supervisor; never charged
     #: on single-run paths).
     cold_start: ColdStartModel = field(default_factory=ColdStartModel)
-    #: Fraction of accesses sampled through the cache/EPC model (1 = all).
-    #: Lowering it speeds large sweeps up; counters are scaled back up.
-    sample_shift: int = 0
 
     def outside_sgx(self) -> "EnclaveConfig":
         """The same machine without EPC/MEE constraints (Fig. 12)."""
@@ -148,6 +145,25 @@ class Enclave:
                                  resident=self.epc.resident_pages)
 
     # ------------------------------------------------------------------
+    def snapshot(self) -> tuple:
+        """Memory, allocators, caches, EPC and counters, by value."""
+        return (self.space.snapshot(), self.heap.snapshot(),
+                self.caches.snapshot(),
+                self.epc.snapshot() if self.epc is not None else None,
+                self.counters.snapshot())
+
+    def restore(self, state: tuple) -> None:
+        """Return to a :meth:`snapshot`.  Every object keeps its
+        identity, so the trace hook and the VM's predecoded handlers stay
+        bound to live state."""
+        space, heap, caches, epc, counters = state
+        self.space.restore(space)
+        self.heap.restore(heap)
+        self.caches.restore(caches)
+        if self.epc is not None:
+            self.epc.restore(epc)
+        self.counters.restore(counters)
+
     def cycles(self) -> int:
         """Total cycles implied by the counters under this cost model."""
         return self.config.cost.cycles_for(self.counters, self.config.enclave)

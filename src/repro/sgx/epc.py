@@ -64,9 +64,17 @@ class EPC:
             self.events.emit("epc_flush", 0, evicted=evicted)
         return evicted
 
-    def reset(self) -> None:
+    def snapshot(self) -> tuple:
+        """Residency (in LRU order) and fault accounting, by value."""
+        return (dict(self._resident), self.faults, self.evictions,
+                set(self.pages_touched), self.peak_resident)
+
+    def restore(self, state: tuple) -> None:
+        """Return to a :meth:`snapshot`, refilling the resident set and
+        the touched-page set in place."""
+        resident, self.faults, self.evictions, touched, \
+            self.peak_resident = state
         self._resident.clear()
-        self.faults = 0
-        self.evictions = 0
+        self._resident.update(resident)
         self.pages_touched.clear()
-        self.peak_resident = 0
+        self.pages_touched.update(touched)

@@ -48,8 +48,9 @@ class Program:
         self.global_end: int = GLOBALS_BASE
         self.resolved_consts: Dict[str, List[object]] = {}
         # Per-function predecoded code (repro.vm.fastpath.FastCode),
-        # keyed by function name.  Bound to one VM's runtime — a Program
-        # is created per load, so the cache shares its lifetime.
+        # keyed by function name.  Bound to the runtime of the VM that
+        # loaded this Program; ``VM.reset`` keeps both, so the cache
+        # outlives a fleet worker's restarts.
         self._fastcache: Dict[str, object] = {}
 
     def address_of_function(self, name: str) -> int:

@@ -20,6 +20,7 @@ Design notes relevant to the reproduction:
 
 from __future__ import annotations
 
+import copy
 import os
 import random
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -154,6 +155,16 @@ _BIN = {
 RUNNABLE = 0
 BLOCKED = 1
 DONE = 2
+
+#: VM attributes :meth:`VM.reset` keeps: the machine, the scheme runtime
+#: and the loaded program (refilled in place, since predecoded handlers
+#: hold them), the observer handles and fixed configuration.  Every
+#: other attribute belongs to one incarnation and returns to its
+#: post-load value.
+_KEPT_ON_RESET = frozenset((
+    "enclave", "space", "counters", "scheme", "program", "natives",
+    "telemetry", "forensics", "events", "fastpath", "fastpath_stats",
+    "quantum", "max_instructions", "stack_size", "rng", "_boot"))
 
 
 class Frame:
@@ -324,6 +335,8 @@ class VM:
         #: is active); libc wrappers consult it like the paper's MPX
         #: wrappers consult bounds registers.
         self.native_arg_bounds: Optional[List] = None
+        #: Post-load state recorded by :meth:`snapshot` for :meth:`reset`.
+        self._boot: Optional[tuple] = None
         self.scheme.attach(self)
         from repro.vm import libc, natives   # deferred: circular import
         self.natives.update(natives.core_natives())
@@ -336,6 +349,42 @@ class VM:
     def load(self, module: Module) -> Program:
         self.program = load_program(self, module)
         return self.program
+
+    def snapshot(self) -> None:
+        """Record the loaded VM's state by value, for :meth:`reset`."""
+        self._boot = (
+            self.enclave.snapshot(), self.scheme.snapshot(),
+            self.rng.getstate() if self.rng is not None else None,
+            dict(self.fastpath_stats),
+            {name: copy.copy(value) for name, value in vars(self).items()
+             if name not in _KEPT_ON_RESET})
+
+    def reset(self) -> None:
+        """Return to the state :meth:`snapshot` recorded, as if this VM
+        had just been built and loaded (a restarted fleet worker).
+
+        Memory, allocators, caches, EPC, counters and the scheme
+        runtime's state are restored in place, and the program and its
+        predecoded handlers are kept, so nothing is re-predecoded.  Like
+        a new VM, a reset one opens its own telemetry lane.
+        """
+        if self._boot is None:
+            raise VMError("reset() needs a snapshot() of the loaded VM")
+        enclave, scheme, rng, stats, fields = self._boot
+        self.enclave.restore(enclave)
+        self.scheme.restore(scheme)
+        if rng is not None:
+            self.rng.setstate(rng)
+        # Fused handlers index this dict by kind, so keys stay.
+        for kind in self.fastpath_stats:
+            self.fastpath_stats[kind] = stats.get(kind, 0)
+        for name in [name for name in vars(self)
+                     if name not in _KEPT_ON_RESET and name not in fields]:
+            delattr(self, name)       # set later, e.g. ``net``
+        for name, value in fields.items():
+            setattr(self, name, copy.copy(value))
+        if self.telemetry is not None:
+            self.telemetry.attach_vm(self)
 
     def _alloc_stack(self) -> Tuple[int, int]:
         top = self._next_stack

@@ -12,6 +12,7 @@ SGXBounds, AddressSanitizer or Intel MPX.  Each scheme contributes
 
 from __future__ import annotations
 
+import copy
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import BoundsViolation, RequestAborted
@@ -45,6 +46,9 @@ class SchemeRuntime:
     #: handlers exactly as the reference ladder would — so this is purely
     #: a dispatch-overhead knob; MPX adds its BNDCL+BNDCU+access triple.
     fastpath_fusion: Tuple[str, ...] = ("cmp_br", "gep_load", "gep_store")
+    #: Attributes a run mutates; :meth:`snapshot` copies them by value.
+    #: Each scheme extends it with its own allocation and metadata state.
+    run_state: Tuple[str, ...] = ("violations", "violation_log")
 
     def __init__(self, policy: str = violation_policy.ABORT) -> None:
         self.vm: Optional["VM"] = None
@@ -111,6 +115,16 @@ class SchemeRuntime:
     def instrument(self, module: "Module") -> "Module":
         """Apply this scheme's compile-time pass (identity for native)."""
         return module
+
+    def snapshot(self) -> object:
+        """The :attr:`run_state` attributes, by value (a fleet worker's
+        VM reset returns the runtime to this)."""
+        return copy.deepcopy({name: getattr(self, name)
+                              for name in self.run_state})
+
+    def restore(self, state) -> None:
+        for name, value in copy.deepcopy(state).items():
+            setattr(self, name, value)
 
     # -- loader hooks ------------------------------------------------------
     def global_padding(self, var: "GlobalVar") -> Tuple[int, int]:

@@ -270,6 +270,18 @@ def test_shared_sinks_merge_runs(tmp_path):
     _check_flight_log(_load(log))
 
 
+def test_fleet_report_ignores_shared_sink(tmp_path):
+    """Each campaign's latency percentiles are its own, so recording
+    into a shared telemetry sink leaves the fleet report unchanged."""
+    trace = tmp_path / "trace.json"
+    proc = _cli(["fleet", "--seed", "7", "--size", "XS",
+                 "--trace-out", str(trace)])
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    golden = (GOLDENS / "fleet.txt").read_text().rstrip("\n")
+    assert proc.stdout.rstrip("\n") == golden
+    _check_chrome_trace(_load(trace))
+
+
 @pytest.mark.parametrize("command", [
     # A flag the selected command cannot honour.
     "observe --metrics-out m.json",

@@ -1,6 +1,7 @@
 """Fleet lifecycle tests: breakers, crash loops, watchdog, restart cost,
 and campaign determinism."""
 
+import collections
 import json
 
 import pytest
@@ -402,48 +403,125 @@ def _image_shape(image):
             {name: len(fn.code) for name, fn in image.functions.items()})
 
 
-class TestImageReuse:
-    """A worker instruments its module once; every incarnation loads
-    that one image into a fresh scheme runtime, enclave and VM."""
+def _serve(worker, rid, payload, ticks=200):
+    """Submit one request and tick until it completes or the worker
+    crashes; returns the worker's TickReport outcomes and crash."""
+    worker.submit(rid, payload)
+    outcomes = []
+    for _ in range(ticks):
+        report = worker.run_tick(5_000)
+        outcomes += report.outcomes
+        if report.crash is not None or worker.inflight is None:
+            return outcomes, report.crash
+    raise AssertionError(f"request {rid} neither completed nor crashed")
+
+
+def _plain(value):
+    """Objects and deques as plain data, for structural equality."""
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple, collections.deque)):
+        return [_plain(v) for v in value]
+    if hasattr(value, "__dict__"):
+        return {"type": type(value).__name__, **_plain(vars(value))}
+    return value
+
+
+def _structure(vm):
+    """Everything a reset restores, as comparable data."""
+    from repro.vm.machine import _KEPT_ON_RESET
+
+    fields = {name: value for name, value in vars(vm).items()
+              if name not in _KEPT_ON_RESET
+              and name not in ("threads", "net")}
+    threads = [(t.tid, t.state, t.sp, t.stack_base, t.stack_top,
+                [(f.fn.name, f.pc, list(f.regs), f.base, f.token)
+                 for f in t.frames]) for t in vm.threads]
+    return {
+        "enclave": vm.enclave.snapshot(),
+        "scheme": _plain(vm.scheme.snapshot()),
+        "fields": fields,
+        "threads": threads,
+        "net": vm.net.stats(),
+        "fastpath_hits": {k: v for k, v in vm.fastpath_stats.items() if v},
+    }
+
+
+class TestWorkerReset:
+    """A worker builds, loads and predecodes its VM once; every restart
+    resets that VM in place to its post-load snapshot."""
 
     def _crash(self, worker):
         from repro.workloads.apps import memcached
-        worker.submit(0, memcached.cve_2011_4971_request())
-        for _ in range(200):
-            report = worker.run_tick(5_000)
-            if report.crash is not None:
-                return report.crash
-        raise AssertionError("the CVE request did not crash the worker")
+        _, crash = _serve(worker, 0, memcached.cve_2011_4971_request())
+        assert crash is not None, "the CVE request did not crash the worker"
+        return crash
 
-    def test_restarts_reuse_the_image_and_rebuild_the_rest(self,
-                                                           monkeypatch):
+    def test_restarts_instrument_and_predecode_once(self, monkeypatch):
         from repro.core import SGXBoundsScheme
         from repro.harness.experiments import APP_CONFIG
+        from repro.vm import fastpath
 
-        calls = []
+        instrumented, compiled = [], []
         instrument = SGXBoundsScheme.instrument
+        compile_function = fastpath.compile_function
 
-        def counting(scheme, module):
-            calls.append(scheme)
+        def counting_instrument(scheme, module):
+            instrumented.append(scheme)
             return instrument(scheme, module)
 
-        monkeypatch.setattr(SGXBoundsScheme, "instrument", counting)
+        def counting_compile(vm, fn, consts):
+            compiled.append(fn.name)
+            return compile_function(vm, fn, consts)
+
+        monkeypatch.setattr(SGXBoundsScheme, "instrument",
+                            counting_instrument)
+        monkeypatch.setattr(fastpath, "compile_function", counting_compile)
         worker = EnclaveWorker(0, _memcached_module(), "sgxbounds",
                                policy="abort", config=APP_CONFIG)
-        image = worker.image
-        seen = [(worker.scheme, worker.vm.enclave, worker.vm)]
+        vm, scheme, program = worker.vm, worker.scheme, worker.vm.program
         for _ in range(3):
             assert self._crash(worker) == "BoundsViolation"
-            assert worker.scheme.violations == 1
+            assert scheme.violations == 1
             worker.boot()
-            seen.append((worker.scheme, worker.vm.enclave, worker.vm))
-            assert worker.vm.program.module is image
-            assert worker.scheme.violations == 0
-        assert len(calls) == 1
+            assert (worker.vm, worker.scheme) == (vm, scheme)
+            assert vm.program is program
+            assert scheme.violations == 0
         assert worker.incarnations == 4
-        for part in range(3):
-            assert len({id(parts[part]) for parts in seen}) == len(seen)
-        assert len({id(vm.program) for _, _, vm in seen}) == len(seen)
+        assert len(instrumented) == 1
+        assert compiled, "nothing was predecoded"
+        assert collections.Counter(compiled).most_common(1)[0][1] == 1
+
+    @pytest.mark.parametrize("scheme",
+                             ("native", "sgxbounds", "asan", "mpx", "baggy"))
+    def test_reset_vm_equals_a_fresh_build(self, scheme):
+        from repro.harness.experiments import APP_CONFIG
+        from repro.workloads.apps import memcached
+
+        module = _memcached_module()
+        worker = EnclaveWorker(0, module, scheme, policy="abort",
+                               config=APP_CONFIG, watchdog_budget=20_000)
+        requests = memcached.workload(12, set_every=3)
+        for rid, payload in enumerate(requests):
+            outcomes, crash = _serve(worker, rid, payload)
+            assert crash is None and outcomes == [(rid, "served")]
+        worker.inject_hang(50)
+        _, crash = _serve(worker, 99, requests[0])
+        assert crash == "WatchdogTimeout"
+        worker.boot()
+        fresh = EnclaveWorker(0, module, scheme, policy="abort",
+                              config=APP_CONFIG, watchdog_budget=20_000)
+        assert _structure(worker.vm) == _structure(fresh.vm)
+        # ... and the two go on to serve a request identically.
+        for w in (worker, fresh):
+            assert _serve(w, 0, requests[0]) == ([(0, "served")], None)
+        assert worker.vm.net.sent(worker.conn) == \
+            fresh.vm.net.sent(fresh.conn)
+        assert _structure(worker.vm) == _structure(fresh.vm)
+
+
+class TestImageReuse:
+    """A worker instruments its module once and keeps that image."""
 
     def test_campaign_with_restarts_leaves_images_unchanged(self,
                                                             monkeypatch):
@@ -454,15 +532,16 @@ class TestImageReuse:
         class Recording(EnclaveWorker):
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
-                workers.append((self, self.image, _image_shape(self.image)))
+                image = self.vm.program.module
+                workers.append((self, self.vm, image, _image_shape(image)))
 
         monkeypatch.setattr(campaign_mod, "EnclaveWorker", Recording)
         result = run_campaign(CampaignConfig(
             policy="abort", workers=2, fault_rate=0.2, seed=77, size="XS"))
         assert result.supervisor["restarts"] > 0
-        assert any(worker.incarnations > 1 for worker, _, _ in workers)
-        for worker, image, before in workers:
-            assert worker.image is image
+        assert any(worker.incarnations > 1 for worker, _, _, _ in workers)
+        for worker, vm, image, before in workers:
+            assert worker.vm is vm and vm.program.module is image
             assert _image_shape(image) == before
 
     def test_image_follows_the_policy(self):
@@ -472,13 +551,13 @@ class TestImageReuse:
 
         module = _memcached_module()
         abort = EnclaveWorker(0, module, "sgxbounds", policy="abort",
-                              config=APP_CONFIG).image
+                              config=APP_CONFIG).vm.program.module
         assert abort.meta["hoisted_accesses"] == 1
         assert abort.stats()["instructions"] == 310
         # Continuing policies turn loop hoisting off, so the image is not
         # a function of the scheme name alone.
         boundless = EnclaveWorker(0, module, "sgxbounds", policy="boundless",
-                                  config=APP_CONFIG).image
+                                  config=APP_CONFIG).vm.program.module
         assert boundless.meta.get("hoisted_accesses", 0) == 0
         assert boundless.stats()["instructions"] == 311
         fresh = instrument_and_finalize(

@@ -19,6 +19,7 @@ exactly one selected run, else the command ends in a usage error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -229,6 +230,26 @@ def _route(parser, args, runs):
     return shared, owned
 
 
+def _bounded(convert, ok, what):
+    """argparse type: ``convert`` the text, then refuse values ``ok``
+    rejects, so an out-of-range number is a usage error, not a run."""
+    def parse(text):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+        return value
+    parse.__name__ = convert.__name__     # "invalid int value: 'x'"
+    return parse
+
+
+_AT_LEAST_ONE = _bounded(int, lambda n: n >= 1, "an integer >= 1")
+# NaN fails both comparisons, so it is refused like any other value.
+_PROBABILITY = _bounded(float, lambda p: 0.0 <= p <= 1.0,
+                        "a probability in [0, 1]")
+_SCALE = _bounded(float, lambda x: math.isfinite(x) and x > 0,
+                  "a finite number > 0")
+
+
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -241,18 +262,18 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--policy", default=None, choices=ALL_POLICIES,
                         help="violation policy (default: compare abort, "
                              "drop-request and boundless)")
-    parser.add_argument("--fault-rate", type=float, default=0.2,
+    parser.add_argument("--fault-rate", type=_PROBABILITY, default=0.2,
                         help="request corruption probability for chaos")
     parser.add_argument("--seed", type=int, default=1234,
                         help="chaos run seed (fuzzer/scheduler/clients)")
     parser.add_argument("--app", default="memcached", choices=tuple(PROFILES),
                         help="fleet/observe: server app")
-    parser.add_argument("--workers", type=int, default=4,
+    parser.add_argument("--workers", type=_AT_LEAST_ONE, default=4,
                         help="fleet: number of enclave workers")
     parser.add_argument("--balance", default="round-robin",
                         choices=BALANCE_POLICIES,
                         help="fleet: dispatch policy")
-    parser.add_argument("--rewarm-scales", type=float, nargs="+",
+    parser.add_argument("--rewarm-scales", type=_SCALE, nargs="+",
                         default=(1.0, 8.0), metavar="SCALE",
                         help="fleet: EPC re-warm multipliers to sweep")
     parser.add_argument("--trace-out", metavar="PATH",

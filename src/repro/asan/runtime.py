@@ -55,9 +55,6 @@ class ASanScheme(SchemeRuntime):
 
     name = "asan"
     global_min_align = GRANULE
-    # Shadow-byte checks are plain IR loads/compares; the generic fusion
-    # classes apply unchanged and observe identical PerfCounters.
-    fastpath_fusion = ("cmp_br", "gep_load", "gep_store")
     run_state = SchemeRuntime.run_state + (
         "_live", "_quarantine", "_quarantine_bytes", "redzone_bytes")
 

@@ -47,9 +47,6 @@ class BaggyScheme(SchemeRuntime):
     """Baggy-Bounds-style protection (heap objects)."""
 
     name = "baggy"
-    # Baggy's slot-rounded checks are plain IR; the generic fusion
-    # classes apply unchanged and observe identical PerfCounters.
-    fastpath_fusion = ("cmp_br", "gep_load", "gep_store")
     run_state = SchemeRuntime.run_state + ("_sizes", "padding_bytes")
 
     def __init__(self, arena_bytes: int = 8 * 1024 * 1024,

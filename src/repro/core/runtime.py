@@ -48,10 +48,6 @@ class SGXBoundsScheme(SchemeRuntime):
     """
 
     name = "sgxbounds"
-    # Figure-4d checks are emitted as plain IR (CMP+BR into the violation
-    # stub), so the generic fusion classes cover them; PerfCounters are
-    # identical either way (tests/test_vm_differential.py).
-    fastpath_fusion = ("cmp_br", "gep_load", "gep_store")
     # The metadata manager's hooks are configuration, not run state.
     run_state = SchemeRuntime.run_state + ("metadata_bytes", "overlay")
 

@@ -136,10 +136,9 @@ def profile_experiment(target: str, size: str = "XS",
                 f"Boundless leakage: {workload.name} (size {size}) — "
                 f"oblivious reads past object bounds",
                 ["scheme", "oblivious_reads", "leaked_bytes"], leak_rows))
-        # Predecoded-interpreter fusion hits, only when the fast path
-        # actually ran (the reference loop under REPRO_VM_FASTPATH=0
-        # publishes no vm.fastpath.* counters, so the table vanishes
-        # rather than printing a row of zeros).
+        # Superinstruction hits per scheme.  Only kinds that fired are
+        # published as vm.fastpath.* counters, so a scheme whose run
+        # fused nothing gets no row rather than a row of zeros.
         fusion_rows = []
         for scheme in schemes:
             registry = runs[scheme]["registry"]

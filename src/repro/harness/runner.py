@@ -96,15 +96,13 @@ def run_workload(workload: Workload, scheme_name: str,
                  config: Optional[EnclaveConfig] = None,
                  scheme_kwargs: Optional[Dict] = None,
                  max_instructions: int = 500_000_000,
-                 telemetry=None, forensics=None,
-                 fastpath: Optional[bool] = None) -> RunResult:
+                 telemetry=None, forensics=None) -> RunResult:
     """Run one registered suite workload under one scheme.
 
     ``telemetry`` attaches a :class:`repro.telemetry.Telemetry` and
     ``forensics`` a :class:`repro.forensics.Forensics`; when omitted, the
     process-wide defaults (set by CLI ``--trace-out`` / ``--metrics-out``
-    / ``--log-out`` flags) apply, which are normally None.  ``fastpath``
-    selects the interpreter (None = the VM's REPRO_VM_FASTPATH default).
+    / ``--log-out`` flags) apply, which are normally None.
     """
     size = size or workload.default_size
     args = workload.args_for(size, threads)
@@ -119,7 +117,7 @@ def run_workload(workload: Workload, scheme_name: str,
         else forensics_mod.get_default()
     vm = VM(enclave=enclave, scheme=scheme,
             max_instructions=max_instructions, telemetry=telemetry,
-            forensics=forensics, fastpath=fastpath)
+            forensics=forensics)
     if vm.telemetry is not None:
         vm.telemetry.label_run(f"{workload.name}/{scheme_name}/{size}")
     try:
@@ -139,7 +137,7 @@ def build_server_vm(module, scheme_name: str,
                     scheme_kwargs: Optional[Dict] = None,
                     policy: Optional[str] = None,
                     seed: Optional[int] = None, telemetry=None,
-                    forensics=None, fastpath: Optional[bool] = None):
+                    forensics=None):
     """Shared server build path: scheme → instrument → Enclave → VM.
 
     ``module`` is a *compiled but uninstrumented* MiniC module; it is never
@@ -160,7 +158,7 @@ def build_server_vm(module, scheme_name: str,
     forensics = forensics if forensics is not None \
         else forensics_mod.get_default()
     vm = VM(enclave=enclave, scheme=scheme, seed=seed, telemetry=telemetry,
-            forensics=forensics, fastpath=fastpath)
+            forensics=forensics)
     vm.load(image)
     return vm, scheme
 
@@ -172,7 +170,7 @@ def run_server(source: str, requests_by_conn: Sequence[Sequence[bytes]],
                name: str = "server", policy: Optional[str] = None,
                net: Optional[NetworkSim] = None, faults=None,
                seed: Optional[int] = None, telemetry=None,
-               forensics=None, fastpath: Optional[bool] = None) -> RunResult:
+               forensics=None) -> RunResult:
     """Run a network server app: requests pre-queued per connection.
 
     ``policy`` selects the violation policy for protected schemes;
@@ -186,7 +184,7 @@ def run_server(source: str, requests_by_conn: Sequence[Sequence[bytes]],
     vm, scheme = build_server_vm(module, scheme_name, config=config,
                                  scheme_kwargs=scheme_kwargs, policy=policy,
                                  seed=seed, telemetry=telemetry,
-                                 forensics=forensics, fastpath=fastpath)
+                                 forensics=forensics)
     vm.net = net if net is not None else NetworkSim()
     vm.faults = faults
     if vm.telemetry is not None:

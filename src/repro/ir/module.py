@@ -92,7 +92,7 @@ class Function:
         self.frame_size = 0
         self.block_index: Dict[str, int] = {}
         # Predecode metadata: indices that start a basic block, i.e. the
-        # only code positions a branch may land on.  The fast path's
+        # only code positions a branch may land on.  The predecoder's
         # superinstruction fuser refuses to swallow these as pair tails.
         self.block_starts: frozenset = frozenset()
         self.finalized = False

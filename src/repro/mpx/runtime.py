@@ -46,11 +46,6 @@ class MPXScheme(SchemeRuntime):
 
     name = "mpx"
     uses_register_bounds = True
-    # MPX emits a BNDCL+BNDCU pair before every unsafe access; the fast
-    # path may collapse the triple into one superinstruction.  The fused
-    # handler advances PerfCounters check by check, so a violation raised
-    # mid-triple carries the exact reference timestamp.
-    fastpath_fusion = ("cmp_br", "gep_load", "gep_store", "bnd_access")
     run_state = SchemeRuntime.run_state + (
         "bd_base", "bounds_tables", "_bt_cache")
 

@@ -110,9 +110,8 @@ class Telemetry:
     def fastpath_hits(self, stats: Dict[str, int]) -> None:
         """Publish the VM's dynamic superinstruction hit counts as the
         ``vm.fastpath.<kind>`` counter family.  Zero-hit kinds are not
-        published: a reference-interpreter run (or a scheme that fuses
-        nothing) leaves the registry without fastpath entries, so counter
-        parity between the two interpreters stays a hard invariant."""
+        published, so a run that fused nothing leaves the registry
+        without fastpath entries."""
         for kind, hits in stats.items():
             if hits:
                 self.registry.counter(f"vm.fastpath.{kind}").inc(hits)

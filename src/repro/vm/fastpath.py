@@ -1,28 +1,30 @@
-"""Predecoded handler dispatch — the interpreter's fast path.
+"""Predecoded handler dispatch — the interpreter.
 
 :func:`compile_function` turns one finalized IR function into a flat list
 of *bound handler closures*: operands are resolved once per instruction
 (register index vs constant-pool value), per-op behaviour comes from a
-registry of closure makers instead of the reference loop's 300-line
-if/elif ladder, and the hottest instruction pairs observed in profiles
-are fused into superinstructions — GEP+LOAD, GEP+STORE, CMP+BR and MPX's
-BNDCL+BNDCU+access triple.
+registry of closure makers, and the hottest instruction pairs observed in
+profiles are fused into superinstructions — GEP+LOAD, GEP+STORE, CMP+BR
+and MPX's BNDCL+BNDCU+access triple.
 
-Identity contract (enforced by ``tests/test_vm_differential.py``): a
-fast-path run is indistinguishable from a reference run — byte-identical
-stdout, identical :class:`~repro.sgx.counters.PerfCounters` at every
-observable point (native calls, traced memory accesses, violations),
-identical violation/forensics records, identical thread interleavings.
-The rules that make this hold:
+The plain handlers are the single definition of each opcode's semantics
+and cost.  What they must produce is pinned by the committed expectations
+in ``tests/goldens/reference_runs.json`` (``tests/test_vm_differential.py``):
+stdout, :class:`~repro.sgx.counters.PerfCounters`, violations and
+forensics records for every workload x scheme cell, a server scheme x
+policy matrix and a generated-program corpus.  Fused dispatch must be
+indistinguishable from plain dispatch — identical counters at every
+observable point (native calls, traced memory accesses, violations) and
+identical thread interleavings.  The rules that make this hold:
 
-* every handler advances ``counters.instructions`` exactly as the
-  reference loop would *before* any observable side effect — a traced
-  memory access, a native call, a raised violation — so timestamps and
-  EPC/cache accounting line up to the instruction;
+* every handler advances ``counters.instructions`` by its full cost
+  *before* any observable side effect — a traced memory access, a native
+  call, a raised violation — so timestamps and EPC/cache accounting line
+  up to the instruction;
 * the dispatch loop charges a fused handler its full quantum cost and
   never starts a superinstruction that does not fit in the remaining
   quantum, so cooperative thread switches land on the same instruction
-  boundaries as the reference scheduler;
+  boundaries as one-instruction dispatch;
 * every code index keeps a valid standalone handler — branches, request
   checkpoints and ``BLOCK_RETRY`` resumes may land *inside* a fused
   region, in which case the tail instructions simply execute unfused.
@@ -234,8 +236,8 @@ def _make_binop(ins, consts, npc, counters):
     op = ins.op
     dest, a, b = ins.dest, ins.a, ins.b
     # The hottest integer ops are inlined (no per-execution fn2 call);
-    # everything else goes through the same _BIN lambdas the reference
-    # loop uses, keeping trap/NaN semantics trivially identical.
+    # everything else goes through the _BIN lambdas, which CMP+BR fusion
+    # shares, keeping trap/NaN semantics in one place.
     if a >= 0 and b >= 0:
         if op == ops.ADD:
             def h(frame, regs, thread):
@@ -298,7 +300,7 @@ def _make_binop(ins, consts, npc, counters):
     bv = consts[-b - 1]
     def h(frame, regs, thread):
         # Not folded at predecode: division by a zero constant must trap
-        # at execution time, exactly when the reference loop would.
+        # at execution time, when the instruction runs.
         counters.instructions += 1
         regs[dest] = fn2(av, bv)
         return npc
@@ -402,8 +404,8 @@ def _make_store(ins, consts, npc, counters, mem):
 def _make_gep(ins, consts, npc, counters, track_bounds):
     a, b, c, size, clamp, dest = ins.a, ins.b, ins.c, ins.size, \
         ins.clamp, ins.dest
-    # §3.2's clamped arithmetic charges the extra merge op, exactly like
-    # the reference loop's `counters.instructions += 1` inside the branch.
+    # §3.2's clamped arithmetic: on x86 this lowers to a 32-bit lea plus
+    # one merge op, so a clamped GEP costs two instructions.
     inc = 2 if clamp else 1
     if b is None:
         if a >= 0 and not clamp and not track_bounds:
@@ -588,8 +590,8 @@ def _make_atomicrmw(ins, consts, npc, counters, mem):
         elif kind == "sub":
             write_uint(addr, (old - val) & M64)
         else:
-            # Mirrors the reference ladder: the (traced) read of the old
-            # value happens before the unknown-kind diagnostic.
+            # The (traced) read of the old value happens before the
+            # unknown-kind diagnostic.
             raise VMError(f"unknown atomicrmw kind {kind!r}")
         regs[dest] = old
         return npc
@@ -739,9 +741,9 @@ def _make_call(ins, consts, i, counters, vm, track_bounds):
     if name is not None:
         callee = program.functions.get(name)
         if callee is None:
-            # Natives are looked up per call (mirroring the reference
-            # ladder), so a handler table swapped in after predecode —
-            # or a genuinely unknown name — behaves identically.
+            # Natives are looked up per call, so a handler table swapped
+            # in after predecode — or a genuinely unknown name — is seen
+            # when the call runs.
             natives = vm.natives
             def h(frame, regs, thread):
                 counters.instructions += 1
@@ -766,8 +768,10 @@ def _make_call(ins, consts, i, counters, vm, track_bounds):
                     frame.pc = i   # re-execute the call on wake
                     return -1
                 if vm._ckpt_pending is not None:
-                    # net_recv asked for a request checkpoint; snapshot
-                    # at the CALL itself (see the reference loop).
+                    # net_recv asked for a request checkpoint.  Snapshot
+                    # at the CALL itself (before the result lands in a
+                    # register): restoring re-executes net_recv, which
+                    # then serves the *next* request.
                     ck_conn, ck_raw = vm._ckpt_pending
                     vm._ckpt_pending = None
                     frame.pc = i
@@ -955,7 +959,7 @@ def _chain2(h1, h2, stats):
     """Batch two adjacent handlers into one dispatch.  Valid whenever h1
     is straight-line (fixed fall-through, never yields): every sub-handler
     still charges its own counters before its own observable effects, so
-    an exception from h2 leaves exactly the reference state."""
+    an exception from h2 leaves exactly the state plain dispatch would."""
     if stats is None:
         def h(frame, regs, thread):
             h1(frame, regs, thread)
@@ -1004,7 +1008,8 @@ def _fuse_bnd_access(cl, cu, access, consts, i, counters, mem, vm,
                      stats):
     """MPX's BNDCL + BNDCU + load/store triple (the paper's per-access
     check sequence), with counter updates interleaved step by step so a
-    violation raised from either check carries the reference timestamp."""
+    violation raised from either check carries the same timestamp as
+    under plain dispatch."""
     npc = i + 3
     pa, breg = cl.a, cl.dest
     inc_cl = 2 + (cl.c or 0)
@@ -1068,8 +1073,8 @@ def _fuse_bnd_access(cl, cu, access, consts, i, counters, mem, vm,
 # ---------------------------------------------------------------------------
 
 def _make_plain(ins, consts, i, counters, vm, track_bounds, mem):
-    """Standalone handler for one instruction (mirrors the reference
-    if/elif ladder exactly)."""
+    """Standalone handler for one instruction: the single definition of
+    its opcode's semantics and cost."""
     npc = i + 1
     op = ins.op
     if op in _BIN:
@@ -1120,7 +1125,7 @@ def _make_plain(ins, consts, i, counters, vm, track_bounds, mem):
 
 #: Ops whose handlers are straight-line: fixed fall-through, never yield
 #: to the dispatch loop.  (They may still raise — traps, faults and
-#: violations propagate from inside a chain with reference-exact state.)
+#: violations propagate from inside a chain with plain-dispatch state.)
 _STRAIGHT_OPS = frozenset(_BIN) | frozenset((
     ops.LOAD, ops.STORE, ops.GEP, ops.MOV, ops.SELECT, ops.ALLOCA,
     ops.TRUNC, ops.SEXT, ops.SITOFP, ops.FPTOSI, ops.FNEG,
@@ -1150,16 +1155,16 @@ def compile_function(vm, fn, consts) -> FastCode:
     sites: Dict[str, int] = {}
 
     # Superinstruction fusion.  A fused region must be straight-line
-    # (no instruction after the head may be a jump target) and is only
-    # applied when the scheme's declared fusion classes allow it.
-    fusion = getattr(vm.scheme, "fastpath_fusion", ())
+    # (no instruction after the head may be a jump target).  Only MPX
+    # emits BNDCL/BNDCU and tracks register bounds, so only MPX code
+    # gets ``bnd_access``.
     starts = getattr(fn, "block_starts", None)
     if starts is None:
         starts = frozenset(fn.block_index.values())
     # Fusion hits are only tallied when telemetry observes the run: the
     # default path keeps the zero-cost-when-off contract.
     stats = None
-    if vm.telemetry is not None and fusion:
+    if vm.telemetry is not None:
         stats = vm.fastpath_stats
         for kind in ("gep_load", "gep_store", "cmp_br", "bnd_access",
                      "chain"):
@@ -1174,23 +1179,20 @@ def compile_function(vm, fn, consts) -> FastCode:
         length = 2
         if i + 1 not in starts:
             if ins.op == ops.GEP and ins.dest is not None:
-                if nxt.op == ops.LOAD and nxt.a == ins.dest \
-                        and "gep_load" in fusion:
+                if nxt.op == ops.LOAD and nxt.a == ins.dest:
                     fused = _fuse_gep_load(ins, nxt, consts, i, counters,
                                            mem, track_bounds, stats)
                     kind = "gep_load"
-                elif nxt.op == ops.STORE and nxt.a == ins.dest \
-                        and "gep_store" in fusion:
+                elif nxt.op == ops.STORE and nxt.a == ins.dest:
                     fused = _fuse_gep_store(ins, nxt, consts, i, counters,
                                             mem, track_bounds, stats)
                     kind = "gep_store"
             elif ins.op in CMP_OPS and nxt.op == ops.BR \
-                    and nxt.a == ins.dest and ins.dest is not None \
-                    and "cmp_br" in fusion:
+                    and nxt.a == ins.dest and ins.dest is not None:
                 fused = _fuse_cmp_br(ins, nxt, consts, counters, stats)
                 kind = "cmp_br"
             elif ins.op == ops.BNDCL and nxt.op == ops.BNDCU \
-                    and "bnd_access" in fusion and track_bounds \
+                    and track_bounds \
                     and i + 2 < n and i + 2 not in starts \
                     and nxt.dest == ins.dest and nxt.a == ins.a:
                 access = code[i + 2]
@@ -1213,7 +1215,7 @@ def compile_function(vm, fn, consts) -> FastCode:
     # (including the specialized superinstructions above) into chains of
     # up to FUSE_MAX quantum units, ending early on a control transfer.
     # Pure dispatch elision — each sub-handler runs unchanged, so the
-    # identity contract is untouched; only loop bookkeeping is saved.
+    # plain-dispatch identity is untouched; only loop bookkeeping is saved.
     def _straight(idx):
         k = fkind.get(idx)
         if k is not None:

@@ -21,12 +21,10 @@ Design notes relevant to the reproduction:
 from __future__ import annotations
 
 import copy
-import os
 import random
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import (
-    BoundsViolation,
     ControlFlowHijack,
     ProgramExit,
     RequestAborted,
@@ -61,13 +59,6 @@ BLOCK_RETRY = object()
 #: Simulated-cycle cost of rolling a thread back to its request checkpoint
 #: (restoring frames + re-arming return tokens; a longjmp-and-cleanup path).
 RECOVERY_COST = 400
-
-
-def _env_fastpath() -> bool:
-    """Default for ``VM(fastpath=...)``: the ``REPRO_VM_FASTPATH``
-    environment variable, ON unless explicitly disabled."""
-    value = os.environ.get("REPRO_VM_FASTPATH", "1").strip().lower()
-    return value not in ("0", "off", "false", "no")
 
 
 class NativeResult:
@@ -163,7 +154,7 @@ DONE = 2
 #: post-load value.
 _KEPT_ON_RESET = frozenset((
     "enclave", "space", "counters", "scheme", "program", "natives",
-    "telemetry", "forensics", "events", "fastpath", "fastpath_stats",
+    "telemetry", "forensics", "events", "fastpath_stats",
     "quantum", "max_instructions", "stack_size", "rng", "_boot"))
 
 
@@ -264,8 +255,7 @@ class VM:
                  max_instructions: int = 2_000_000_000,
                  stack_size: int = DEFAULT_STACK_SIZE,
                  seed: Optional[int] = None,
-                 telemetry=None, forensics=None,
-                 fastpath: Optional[bool] = None):
+                 telemetry=None, forensics=None):
         self.enclave = enclave or Enclave()
         self.space = self.enclave.space
         self.counters = self.enclave.counters
@@ -297,11 +287,6 @@ class VM:
         self.external_rids = False
         #: Fleet worker id this VM incarnates (set by EnclaveWorker).
         self.worker_id: Optional[int] = None
-        #: Interpreter selection: the predecoded fast path (default) or
-        #: the reference if/elif ladder.  Both are semantically identical
-        #: (enforced by tests/test_vm_differential.py); None consults the
-        #: REPRO_VM_FASTPATH environment variable.
-        self.fastpath = _env_fastpath() if fastpath is None else bool(fastpath)
         #: Dynamic superinstruction hit counts by fusion kind, tallied
         #: only while telemetry observes the run (zero-cost-when-off);
         #: published to the metrics registry as ``vm.fastpath.<kind>``.
@@ -588,24 +573,17 @@ class VM:
         raise SegmentationFault(target, 8, "return to non-code address")
 
     def _step(self, thread: Thread, quantum: int) -> None:
-        """Run ``thread`` for up to ``quantum`` instructions on the
-        selected interpreter.  Everything — ``run()``, the fleet's
-        ``EnclaveWorker`` tick loop — funnels through here."""
-        if self.fastpath:
-            self._run_fast(thread, quantum)
-        else:
-            self._run_reference(thread, quantum)
+        """Run ``thread`` for up to ``quantum`` instructions.  Everything —
+        ``run()``, the fleet's ``EnclaveWorker`` tick loop — funnels
+        through here.
 
-    def _run_fast(self, thread: Thread, quantum: int) -> None:
-        """Predecoded handler dispatch (see ``repro.vm.fastpath``).
-
-        The outer structure mirrors ``_run_reference`` exactly: one
+        Predecoded handler dispatch (see ``repro.vm.fastpath``): one
         telemetry segment per frame activation, ``frame.pc`` written back
-        only when the frame didn't yield, the same up-front instruction
-        budget.  The inner loop runs fused superinstructions while the
-        remaining quantum can absorb the longest one, then finishes the
-        slice on unfused handlers so thread switches land on the exact
-        reference instruction boundaries.
+        only when the frame didn't yield, an up-front instruction budget.
+        The inner loop runs fused superinstructions while the remaining
+        quantum can absorb the longest one, then finishes the slice on
+        plain handlers, so thread switches land on exact instruction
+        boundaries.
         """
         self.current = thread
         program = self.program
@@ -647,385 +625,6 @@ class VM:
                     else:
                         switch = True
                         break
-            if telem is not None:
-                telem.functions.end(frame.fn.name, counters, seg_snap)
-            if not switch:
-                frame.pc = pc
-        self.current = None
-
-    # The reference dispatch loop.  Deliberately one big function: locals
-    # are the fastest variable class in CPython and this was the
-    # simulator's only hot path before the predecoded fast path existed;
-    # it remains the executable specification the fast path is diffed
-    # against (tests/test_vm_differential.py).
-    def _run_reference(self, thread: Thread, quantum: int) -> None:   # noqa: C901
-        self.current = thread
-        counters = self.counters
-        space = self.space
-        binops = _BIN
-        program = self.program
-        natives = self.natives
-        telem = self.telemetry
-
-        self._executed += quantum   # upper bound; cheap budget check
-        if self._executed > self.max_instructions:
-            raise VMError(
-                f"instruction budget exceeded ({self.max_instructions}); "
-                f"likely an infinite loop in the simulated program")
-
-        while quantum > 0 and thread.state == RUNNABLE:
-            frame = thread.frames[-1]
-            code = frame.code
-            consts = frame.consts
-            regs = frame.regs
-            pc = frame.pc
-            switch = False
-            if telem is not None:
-                seg_snap = telem.functions.begin(counters)
-            while quantum > 0:
-                ins = code[pc]
-                op = ins.op
-                counters.instructions += 1
-                quantum -= 1
-
-                fn2 = binops.get(op)
-                if fn2 is not None:
-                    a = ins.a
-                    b = ins.b
-                    av = regs[a] if a >= 0 else consts[-a - 1]
-                    bv = regs[b] if b >= 0 else consts[-b - 1]
-                    regs[ins.dest] = fn2(av, bv)
-                    pc += 1
-                    continue
-
-                if op == ops.LOAD:
-                    a = ins.a
-                    av = regs[a] if a >= 0 else consts[-a - 1]
-                    addr = av & M32
-                    if ins.is_float:
-                        value = space.read_f64(addr)
-                    else:
-                        size = ins.size
-                        value = space.read_uint(addr, size)
-                        if ins.signed and size < 8:
-                            sign = 1 << (size * 8 - 1)
-                            if value & sign:
-                                value = (value - (sign << 1)) & M64
-                    regs[ins.dest] = value
-                    pc += 1
-                    continue
-
-                if op == ops.STORE:
-                    a = ins.a
-                    b = ins.b
-                    av = regs[a] if a >= 0 else consts[-a - 1]
-                    bv = regs[b] if b >= 0 else consts[-b - 1]
-                    addr = av & M32
-                    if ins.is_float:
-                        space.write_f64(addr, bv)
-                    else:
-                        space.write_uint(addr, bv, ins.size)
-                    pc += 1
-                    continue
-
-                if op == ops.GEP:
-                    a = ins.a
-                    base = regs[a] if a >= 0 else consts[-a - 1]
-                    b = ins.b
-                    if b is not None:
-                        idx = regs[b] if b >= 0 else consts[-b - 1]
-                        value = base + idx * ins.size + ins.c
-                    else:
-                        value = base + ins.c
-                    if ins.clamp:
-                        # §3.2's 32-bit-confined arithmetic: on x86 this
-                        # lowers to a 32-bit lea plus one merge op.
-                        counters.instructions += 1
-                        value = (base & HI32) | (value & M32)
-                    else:
-                        value &= M64
-                    regs[ins.dest] = value
-                    bnd = frame.bounds
-                    if bnd is not None and a >= 0 and a in bnd:
-                        bnd[ins.dest] = bnd[a]
-                    pc += 1
-                    continue
-
-                if op == ops.BR:
-                    counters.branches += 1
-                    a = ins.a
-                    av = regs[a] if a >= 0 else consts[-a - 1]
-                    pc = ins.t1 if av else ins.t2
-                    continue
-
-                if op == ops.JMP:
-                    counters.branches += 1
-                    pc = ins.t1
-                    continue
-
-                if op == ops.MOV:
-                    a = ins.a
-                    regs[ins.dest] = regs[a] if a >= 0 else consts[-a - 1]
-                    bnd = frame.bounds
-                    if bnd is not None and a >= 0 and a in bnd:
-                        bnd[ins.dest] = bnd[a]
-                    pc += 1
-                    continue
-
-                if op == ops.SELECT:
-                    a, b, c = ins.a, ins.b, ins.c
-                    av = regs[a] if a >= 0 else consts[-a - 1]
-                    chosen = b if av else c
-                    regs[ins.dest] = regs[chosen] if chosen >= 0 else consts[-chosen - 1]
-                    pc += 1
-                    continue
-
-                if op == ops.CALL:
-                    counters.calls += 1
-                    args = ins.args
-                    values = [regs[x] if x >= 0 else consts[-x - 1] for x in args]
-                    name = ins.name
-                    if name is not None:
-                        callee = program.functions.get(name)
-                        if callee is None:
-                            native = natives.get(name)
-                            if native is None:
-                                raise VMError(f"unknown function {name!r}")
-                            if frame.bounds is not None:
-                                self.native_arg_bounds = [
-                                    frame.bounds.get(x) if x >= 0 else None
-                                    for x in args]
-                            if telem is None:
-                                result = native(self, thread, values)
-                            else:
-                                t0 = counters.instructions
-                                result = native(self, thread, values)
-                                telem.native_call(name, thread.tid, t0,
-                                                  counters.instructions)
-                            if result is BLOCK_RETRY:
-                                frame.pc = pc   # re-execute the call on wake
-                                switch = True
-                                break
-                            if self._ckpt_pending is not None:
-                                # net_recv asked for a request checkpoint.
-                                # Snapshot at the CALL itself (before the
-                                # result lands in a register): restoring
-                                # re-executes net_recv, which then serves
-                                # the *next* request.
-                                ck_conn, ck_raw = self._ckpt_pending
-                                self._ckpt_pending = None
-                                frame.pc = pc
-                                thread.checkpoint = RequestCheckpoint(
-                                    thread, ck_conn, ck_raw)
-                            if type(result) is NativeResult:
-                                if ins.dest is not None:
-                                    regs[ins.dest] = result.value
-                                    if frame.bounds is not None and result.bounds:
-                                        frame.bounds[ins.dest] = result.bounds
-                            elif ins.dest is not None:
-                                regs[ins.dest] = result if result is not None else 0
-                            if thread.state != RUNNABLE or thread.frames[-1] is not frame:
-                                frame.pc = pc + 1
-                                switch = True
-                                break
-                            pc += 1
-                            continue
-                    else:
-                        a = ins.a
-                        target = (regs[a] if a >= 0 else consts[-a - 1]) & ADDRESS_MASK
-                        callee = program.function_at(target)
-                        if callee is None:
-                            raise SegmentationFault(target, 1, "indirect call to non-code")
-                    arg_bounds = None
-                    if frame.bounds is not None:
-                        arg_bounds = {}
-                        for i, x in enumerate(args):
-                            if x >= 0 and x in frame.bounds:
-                                arg_bounds[i] = frame.bounds[x]
-                    frame.pc = pc + 1
-                    self._push_frame(thread, callee, values, ins.dest, arg_bounds)
-                    switch = True
-                    break
-
-                if op == ops.RET:
-                    a = ins.a
-                    value = 0
-                    if a is not None:
-                        value = regs[a] if a >= 0 else consts[-a - 1]
-                    actual = space.read_u64(frame.ret_slot)
-                    if actual != frame.token:
-                        self._corrupted_return(actual)
-                    ret_bounds = None
-                    if frame.bounds is not None and a is not None and a >= 0:
-                        ret_bounds = frame.bounds.get(a)
-                    thread.frames.pop()
-                    if telem is not None:
-                        telem.function_exit(frame.fn.name, thread.tid,
-                                            counters.instructions)
-                    thread.sp = frame.base + frame.fn.frame_size
-                    if not thread.frames:
-                        self._finish_thread(thread, value)
-                        switch = True
-                        break
-                    parent = thread.frames[-1]
-                    if frame.dest is not None:
-                        parent.regs[frame.dest] = value
-                        if parent.bounds is not None and ret_bounds:
-                            parent.bounds[frame.dest] = ret_bounds
-                    switch = True
-                    break
-
-                if op == ops.ALLOCA:
-                    regs[ins.dest] = frame.base + ins.c
-                    pc += 1
-                    continue
-
-                if op == ops.TRUNC:
-                    a = ins.a
-                    av = regs[a] if a >= 0 else consts[-a - 1]
-                    regs[ins.dest] = av & ((1 << (ins.size * 8)) - 1)
-                    pc += 1
-                    continue
-
-                if op == ops.SEXT:
-                    a = ins.a
-                    av = regs[a] if a >= 0 else consts[-a - 1]
-                    bits = ins.size * 8
-                    sign = 1 << (bits - 1)
-                    av &= (1 << bits) - 1
-                    if av & sign:
-                        av = (av - (1 << bits)) & M64
-                    regs[ins.dest] = av
-                    pc += 1
-                    continue
-
-                if op == ops.SITOFP:
-                    a = ins.a
-                    av = regs[a] if a >= 0 else consts[-a - 1]
-                    regs[ins.dest] = float(_s64(av))
-                    pc += 1
-                    continue
-
-                if op == ops.FPTOSI:
-                    a = ins.a
-                    av = regs[a] if a >= 0 else consts[-a - 1]
-                    regs[ins.dest] = int(av) & M64
-                    pc += 1
-                    continue
-
-                if op == ops.FNEG:
-                    a = ins.a
-                    av = regs[a] if a >= 0 else consts[-a - 1]
-                    regs[ins.dest] = -av
-                    pc += 1
-                    continue
-
-                if op == ops.ATOMICRMW:
-                    a, b = ins.a, ins.b
-                    addr = (regs[a] if a >= 0 else consts[-a - 1]) & M32
-                    val = regs[b] if b >= 0 else consts[-b - 1]
-                    old = space.read_uint(addr, ins.size)
-                    if ins.name == "add":
-                        space.write_uint(addr, (old + val) & M64, ins.size)
-                    elif ins.name == "xchg":
-                        space.write_uint(addr, val, ins.size)
-                    elif ins.name == "sub":
-                        space.write_uint(addr, (old - val) & M64, ins.size)
-                    else:
-                        raise VMError(f"unknown atomicrmw kind {ins.name!r}")
-                    regs[ins.dest] = old
-                    pc += 1
-                    continue
-
-                if op == ops.CMPXCHG:
-                    a, b, c = ins.a, ins.b, ins.c
-                    addr = (regs[a] if a >= 0 else consts[-a - 1]) & M32
-                    expected = regs[b] if b >= 0 else consts[-b - 1]
-                    desired = regs[c] if c >= 0 else consts[-c - 1]
-                    old = space.read_uint(addr, ins.size)
-                    if old == expected:
-                        space.write_uint(addr, desired, ins.size)
-                    regs[ins.dest] = old
-                    pc += 1
-                    continue
-
-                if op == ops.BNDMK:
-                    a, b = ins.a, ins.b
-                    base = (regs[a] if a >= 0 else consts[-a - 1]) & M32
-                    size = regs[b] if b >= 0 else consts[-b - 1]
-                    if frame.bounds is not None:
-                        frame.bounds[ins.dest] = (base, base + size)
-                    pc += 1
-                    continue
-
-                if op == ops.BNDCL:
-                    # MPX bound checks are micro-coded multi-uop
-                    # instructions (Oleksenko et al., "Intel MPX
-                    # Explained"); ins.c additionally carries the
-                    # pass-computed bounds-register spill cost (only 4
-                    # architectural bounds registers exist).
-                    counters.instructions += 1 + (ins.c or 0)
-                    counters.bounds_checks += 1
-                    bnd = frame.bounds.get(ins.dest) if frame.bounds is not None else None
-                    if bnd is not None:
-                        a = ins.a
-                        val = (regs[a] if a >= 0 else consts[-a - 1]) & M32
-                        if val < bnd[0]:
-                            self.scheme.handle_violation(self, BoundsViolation(
-                                "mpx", val, bnd[0], bnd[1], access="read",
-                                what="bndcl"))
-                    pc += 1
-                    continue
-
-                if op == ops.BNDCU:
-                    counters.instructions += 1 + (ins.c or 0)
-                    counters.bounds_checks += 1
-                    bnd = frame.bounds.get(ins.dest) if frame.bounds is not None else None
-                    if bnd is not None:
-                        a = ins.a
-                        val = (regs[a] if a >= 0 else consts[-a - 1]) & M32
-                        if val + ins.size > bnd[1]:
-                            self.scheme.handle_violation(self, BoundsViolation(
-                                "mpx", val, bnd[0], bnd[1], size=ins.size,
-                                access="read", what="bndcu"))
-                    pc += 1
-                    continue
-
-                if op == ops.BNDLDX:
-                    a = ins.a
-                    slot = (regs[a] if a >= 0 else consts[-a - 1]) & M32
-                    # Two-level BD/BT translation plus the compiler's
-                    # bounds-register spill pressure: several extra uops
-                    # beyond the memory traffic charged below.
-                    counters.instructions += 4
-                    if frame.bounds is not None:
-                        loaded = self.scheme.bt_load(self, slot)
-                        if loaded is not None:
-                            frame.bounds[ins.dest] = loaded
-                        else:
-                            frame.bounds.pop(ins.dest, None)
-                    pc += 1
-                    continue
-
-                if op == ops.BNDSTX:
-                    a = ins.a
-                    slot = (regs[a] if a >= 0 else consts[-a - 1]) & M32
-                    counters.instructions += 4
-                    if frame.bounds is not None:
-                        self.scheme.bt_store(self, slot,
-                                             frame.bounds.get(ins.dest))
-                    pc += 1
-                    continue
-
-                if op == ops.TRAP:
-                    raise TrapError(ins.name or "trap")
-
-                if op == ops.NOP:
-                    pc += 1
-                    continue
-
-                raise VMError(f"unhandled opcode {op} ({ops.OP_NAMES.get(op)})")
-
             if telem is not None:
                 telem.functions.end(frame.fn.name, counters, seg_snap)
             if not switch:

@@ -40,12 +40,6 @@ class SchemeRuntime:
     #: Minimum alignment the loader must give globals (ASan needs its
     #: 8-byte shadow granule).
     global_min_align = 1
-    #: Superinstruction classes the predecoder (``repro.vm.fastpath``)
-    #: may fuse for code instrumented by this scheme.  Fusion never
-    #: changes observable behaviour — PerfCounters advance inside fused
-    #: handlers exactly as the reference ladder would — so this is purely
-    #: a dispatch-overhead knob; MPX adds its BNDCL+BNDCU+access triple.
-    fastpath_fusion: Tuple[str, ...] = ("cmp_br", "gep_load", "gep_store")
     #: Attributes a run mutates; :meth:`snapshot` copies them by value.
     #: Each scheme extends it with its own allocation and metadata state.
     run_state: Tuple[str, ...] = ("violations", "violation_log")

@@ -1,4 +1,4 @@
-"""Seeded MiniC program generator for the differential oracle.
+"""Seeded MiniC program generator for the interpreter expectations.
 
 Grammar-bounded random programs exercising the predecoder's whole
 instruction surface: integer/float arithmetic, guarded division and

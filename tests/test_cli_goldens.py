@@ -5,9 +5,7 @@ once with its artifact flags pointing into ``tmp_path``.  Stdout is the
 report alone (status lines go to stderr), so it must equal
 ``tests/goldens/<row>.txt``; then every file the run wrote passes one
 shared result-envelope check (``--results-out``) and the row's
-validator.  Rows run with the predecoded fast path on, and a spot-check
-runs three of them on the reference loop, so neither interpreter can
-silently drift from the pinned output.
+validator.
 
 To regenerate after an intentional output change::
 
@@ -207,9 +205,8 @@ ROWS = {
 }
 
 
-def _cli(argv, fastpath: bool = True, cwd: Path = REPO):
-    env = dict(os.environ, PYTHONPATH=str(REPO / "src"),
-               REPRO_VM_FASTPATH="1" if fastpath else "0")
+def _cli(argv, cwd: Path = REPO):
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     return subprocess.run([sys.executable, "-m", "repro", *argv],
                           capture_output=True, text=True, env=env,
                           cwd=str(cwd), timeout=300)
@@ -223,18 +220,18 @@ def _load(path: Path):
     return path.read_text()
 
 
-def _check_row(name: str, tmp_path: Path, fastpath: bool) -> None:
+def _check_row(name: str, tmp_path: Path) -> None:
     command, result, artifacts = ROWS[name]
     argv = [*command.split(), "--seed", "7", "--size", "XS"]
     for option, (filename, _) in artifacts.items():
         argv += [option, str(tmp_path / filename)]
-    proc = _cli(argv, fastpath)
+    proc = _cli(argv)
     assert proc.returncode == 0, \
         f"{name} exited {proc.returncode}:\n{proc.stderr[-2000:]}"
     golden = (GOLDENS / f"{name}.txt").read_text().rstrip("\n")
     assert proc.stdout.rstrip("\n") == golden, (
         f"'python -m repro {command} --seed 7 --size XS' drifted from "
-        f"tests/goldens/{name}.txt (fastpath {'on' if fastpath else 'off'})")
+        f"tests/goldens/{name}.txt")
     for option, (filename, check) in artifacts.items():
         path = tmp_path / filename
         assert f"[{option[2:-4]} -> {path}]" in proc.stderr.splitlines()
@@ -248,13 +245,7 @@ def _check_row(name: str, tmp_path: Path, fastpath: bool) -> None:
 
 @pytest.mark.parametrize("experiment", ROWS)
 def test_golden_fastpath_on(experiment, tmp_path):
-    _check_row(experiment, tmp_path, fastpath=True)
-
-
-@pytest.mark.parametrize("experiment", ("fleet", "chaos", "redteam"))
-def test_golden_fastpath_off(experiment, tmp_path):
-    """Reference-loop spot-check (full coverage: the differential oracle)."""
-    _check_row(experiment, tmp_path, fastpath=False)
+    _check_row(experiment, tmp_path)
 
 
 def test_shared_sinks_merge_runs(tmp_path):
@@ -306,6 +297,13 @@ def test_fleet_report_ignores_shared_sink(tmp_path):
     "profile",
     "profile nosuch",
     "postmortem nosuch",
+    # Out-of-range numbers.
+    "fleet --workers 0",
+    "fleet --workers -1",
+    "fleet --fault-rate 1.5",
+    "fleet --fault-rate -0.1",
+    "chaos --fault-rate nan",
+    "fleet --rewarm-scales 0",
 ])
 def test_usage_errors(command, tmp_path):
     """Bad flags and values end in an argparse usage error (exit 2)

@@ -1,17 +1,18 @@
-"""Edge-path coverage for the predecoded interpreter.
+"""Edge-path coverage for superinstruction fusion.
 
-The differential oracle (test_vm_differential.py) proves identity in
-bulk; this file aims the fast path at the places where predecoding
-could plausibly diverge from the reference loop:
+The committed expectations (test_vm_differential.py) pin behaviour in
+bulk; this file diffs fused dispatch against plain, one-handler-per-
+instruction dispatch (the ``unfused`` fixture) at the places where
+fusion could plausibly diverge:
 
 * atomics (ATOMICRMW/CMPXCHG) on scheme-tagged pointers — the handler
-  must strip tags exactly like the reference's ``& M32``;
+  must strip tags with ``& M32``;
 * traps raised *inside* fused handlers (division by zero mid-chain,
   bounds violations inside gep+load fusion) — counters at the moment of
-  the exception must match the reference instruction for instruction;
+  the exception must match plain dispatch instruction for instruction;
 * blocking natives (mutex_lock/join returning BLOCK_RETRY) resuming at
   a call that sits mid-basic-block, across tiny scheduler quanta that
-  force the undecoded tail loop;
+  force the unfused tail loop;
 * hoisted preheader checks (passes/loop_hoist.py) interacting with
   bnd/gep fusion;
 * the per-function code cache: reuse while identity holds, re-predecode
@@ -19,6 +20,8 @@ could plausibly diverge from the reference loop:
 """
 
 from __future__ import annotations
+
+import contextlib
 
 import pytest
 
@@ -29,25 +32,29 @@ from repro.mpx import MPXScheme
 from repro.vm import VM
 from repro.vm.fastpath import FUSE_MAX, compile_function
 
-from tests.util import build, run_c
+from tests.util import build, run_c, unfused  # noqa: F401  (fixture)
 
 
 def _counters(vm):
     return vm.enclave.finalize().snapshot()
 
 
-def _run_pair(source, make_scheme=lambda: None, **vm_kwargs):
-    """Run one MiniC program on both interpreters; return the two VMs
-    plus the two results (``make_scheme`` builds a fresh scheme per run
-    — scheme runtimes accumulate violation state)."""
-    ref_result, ref_vm = run_c(source, make_scheme(), fastpath=False,
-                               **vm_kwargs)
-    fast_result, fast_vm = run_c(source, make_scheme(), fastpath=True,
-                                 **vm_kwargs)
-    assert fast_result == ref_result
-    assert fast_vm.output() == ref_vm.output()
-    assert _counters(fast_vm) == _counters(ref_vm)
-    return ref_vm, fast_vm
+def _run_pair(unfused, source, make_scheme=lambda: None, **vm_kwargs):
+    """Run one MiniC program unfused and fused; return the two VMs
+    (``make_scheme`` builds a fresh scheme per run — scheme runtimes
+    accumulate violation state)."""
+    with unfused():
+        plain_result, plain_vm = run_c(source, make_scheme(), **vm_kwargs)
+    fused_result, fused_vm = run_c(source, make_scheme(), **vm_kwargs)
+    assert fused_result == plain_result
+    assert fused_vm.output() == plain_vm.output()
+    assert _counters(fused_vm) == _counters(plain_vm)
+    return plain_vm, fused_vm
+
+
+def _both(unfused):
+    """``(fused, scope)`` pairs: plain dispatch first, then fused."""
+    return ((False, unfused()), (True, contextlib.nullcontext()))
 
 
 # ---------------------------------------------------------------------------
@@ -79,16 +86,17 @@ def _atomics_module() -> Module:
 
 
 @pytest.mark.parametrize("scheme_cls", [None, SGXBoundsScheme, MPXScheme])
-def test_atomics_identity(scheme_cls):
+def test_atomics_identity(scheme_cls, unfused):
     results = {}
-    for fastpath in (False, True):
+    for fused, scope in _both(unfused):
         scheme = scheme_cls() if scheme_cls else None
         module = _atomics_module()
         module = scheme.instrument(module) if scheme else module.clone()
         module.finalize()
-        vm = VM(scheme=scheme, fastpath=fastpath)
-        vm.load(module)
-        results[fastpath] = (vm.run("main", ()), _counters(vm))
+        with scope:
+            vm = VM(scheme=scheme)
+            vm.load(module)
+            results[fused] = (vm.run("main", ()), _counters(vm))
     assert results[True] == results[False]
     # 100+107+104+41+1000+0+1000 sanity-checks the atomic semantics
     # themselves, not just interpreter agreement.
@@ -99,9 +107,9 @@ def test_atomics_identity(scheme_cls):
 # Traps inside fused handlers
 # ---------------------------------------------------------------------------
 
-def test_divide_by_zero_mid_chain():
+def test_divide_by_zero_mid_chain(unfused):
     """The LOAD feeding the DIV and the DIV itself sit in one fused
-    chain; the trap must surface with reference-identical counters."""
+    chain; the trap must surface with the counters of plain dispatch."""
     src = """
     int z;
     int main() {
@@ -111,17 +119,18 @@ def test_divide_by_zero_mid_chain():
     }
     """
     refs = {}
-    for fastpath in (False, True):
+    for fused, scope in _both(unfused):
         module = build(src)
-        vm = VM(fastpath=fastpath)
-        vm.load(module)
-        with pytest.raises(TrapError):
-            vm.run("main", ())
-        refs[fastpath] = _counters(vm)
+        with scope:
+            vm = VM()
+            vm.load(module)
+            with pytest.raises(TrapError):
+                vm.run("main", ())
+        refs[fused] = _counters(vm)
     assert refs[True] == refs[False]
 
 
-def test_violation_inside_gep_load_fusion():
+def test_violation_inside_gep_load_fusion(unfused):
     src = """
     int main() {
         int *p = (int*)malloc(16);
@@ -131,14 +140,15 @@ def test_violation_inside_gep_load_fusion():
     }
     """
     contexts = {}
-    for fastpath in (False, True):
+    for fused, scope in _both(unfused):
         scheme = SGXBoundsScheme()
         module = build(src, scheme)
-        vm = VM(scheme=scheme, fastpath=fastpath)
-        vm.load(module)
-        with pytest.raises(BoundsViolation) as err:
-            vm.run("main", ())
-        contexts[fastpath] = (err.value.context(), _counters(vm))
+        with scope:
+            vm = VM(scheme=scheme)
+            vm.load(module)
+            with pytest.raises(BoundsViolation) as err:
+                vm.run("main", ())
+        contexts[fused] = (err.value.context(), _counters(vm))
     assert contexts[True] == contexts[False]
 
 
@@ -168,16 +178,17 @@ int main() {
 
 
 @pytest.mark.parametrize("quantum", [1, 2, 3, 7, 64])
-def test_block_retry_resume_identity(quantum):
+def test_block_retry_resume_identity(quantum, unfused):
     """mutex_lock/join return BLOCK_RETRY and the thread later resumes
     at a CALL that sits mid-basic-block.  Tiny quanta additionally force
-    the fast path into its undecoded tail loop (quantum < FUSE_MAX) on
+    fused dispatch into its unfused tail loop (quantum < FUSE_MAX) on
     almost every slice; scheduling order must still match exactly."""
-    _run_pair(_CONTENTION_SRC, quantum=quantum)
+    _run_pair(unfused, _CONTENTION_SRC, quantum=quantum)
 
 
-def test_tail_loop_matches_reference_under_scheme():
-    _run_pair(_CONTENTION_SRC, make_scheme=SGXBoundsScheme, quantum=2)
+def test_tail_loop_matches_reference_under_scheme(unfused):
+    _run_pair(unfused, _CONTENTION_SRC, make_scheme=SGXBoundsScheme,
+              quantum=2)
 
 
 # ---------------------------------------------------------------------------
@@ -196,16 +207,17 @@ int main() {
 """
 
 
-def test_hoisted_checks_identity():
+def test_hoisted_checks_identity(unfused):
     """loop_hoist replaces per-iteration checks with one preheader check
     whose bnd/gep sequence is itself fusion bait; both configurations
-    must stay reference-identical, and hoisting must demonstrably have
+    must match plain dispatch, and hoisting must demonstrably have
     fired (fewer bounds checks) so the test exercises what it claims."""
     executed = {}
     for hoist in (False, True):
         make = lambda h=hoist: SGXBoundsScheme(optimize_hoist=h)
-        ref_vm, fast_vm = _run_pair(_HOIST_SRC, make_scheme=make)
-        executed[hoist] = _counters(fast_vm)["instructions"]
+        plain_vm, fused_vm = _run_pair(unfused, _HOIST_SRC,
+                                       make_scheme=make)
+        executed[hoist] = _counters(fused_vm)["instructions"]
     # Hoisting must demonstrably have fired: dropping 2 x 64 in-loop
     # clamp sequences shows up directly in the instruction count.
     assert executed[True] < executed[False]
@@ -217,7 +229,7 @@ def test_hoisted_checks_identity():
 
 def test_fastcode_cached_and_invalidated():
     module = build("int main() { return 40 + 2; }")
-    vm = VM(fastpath=True)
+    vm = VM()
     program = vm.load(module)
     fn = module.functions["main"]
     fc1 = program.fast_for(fn, vm)
@@ -231,7 +243,7 @@ def test_fastcode_cached_and_invalidated():
 def test_fusion_sites_recorded():
     scheme = SGXBoundsScheme()
     module = build(_HOIST_SRC, scheme)
-    vm = VM(scheme=scheme, fastpath=True)
+    vm = VM(scheme=scheme)
     vm.load(module)
     fn = module.functions["main"]
     fc = compile_function(vm, fn, fn.consts)
@@ -257,7 +269,7 @@ def test_calls_never_fused():
         return d;
     }
     """)
-    vm = VM(fastpath=True)
+    vm = VM()
     vm.load(module)
     fn = module.functions["main"]
     fc = compile_function(vm, fn, fn.consts)

@@ -2,6 +2,7 @@
 decomposition, burn-rate fire/clear semantics, exposition rendering,
 empty-histogram guards, and the zero-cost-when-off guarantee."""
 
+import contextlib
 import json
 
 import pytest
@@ -22,6 +23,8 @@ from repro.obs import (
 from repro.obs.trace import FleetTracer, mint_trace_id
 from repro.telemetry.tracer import SpanTracer
 from repro.workloads.netsim import NetworkSim
+
+from tests.util import unfused  # noqa: F401  (fixture)
 
 
 def _campaign(obs=None, **overrides):
@@ -341,21 +344,21 @@ class TestZeroCostWhenOff:
 
 
 class TestFastpathInvariance:
-    def test_scheme_tax_fastpath_invariant(self, monkeypatch):
-        """The attribution pipeline must be blind to which interpreter
-        ran: scheme_tax diffs PerfCounters means, and the predecoded
-        fast path guarantees counter identity, so the whole tax document
-        — deltas, priced components, shares — must match bit for bit
-        between REPRO_VM_FASTPATH=0 and =1."""
+    def test_scheme_tax_fastpath_invariant(self, unfused):
+        """The attribution pipeline must be blind to superinstruction
+        fusion: scheme_tax diffs PerfCounters means, and fused dispatch
+        guarantees counter identity with plain dispatch, so the whole
+        tax document — deltas, priced components, shares — must match
+        bit for bit with fusion off and on."""
         taxes = {}
-        for flag in ("0", "1"):
-            monkeypatch.setenv("REPRO_VM_FASTPATH", flag)
+        for fused in (False, True):
             rollups = {}
-            for scheme in ("native", "sgxbounds"):
-                obs = Observability(seed=7)
-                _campaign(obs, scheme=scheme, policy="drop-request")
-                rollups[scheme] = obs.attribution.rollup()
-            taxes[flag] = scheme_tax(rollups["sgxbounds"],
-                                     rollups["native"])
-        assert taxes["1"] is not None
-        assert taxes["1"] == taxes["0"]
+            with contextlib.nullcontext() if fused else unfused():
+                for scheme in ("native", "sgxbounds"):
+                    obs = Observability(seed=7)
+                    _campaign(obs, scheme=scheme, policy="drop-request")
+                    rollups[scheme] = obs.attribution.rollup()
+            taxes[fused] = scheme_tax(rollups["sgxbounds"],
+                                      rollups["native"])
+        assert taxes[True] is not None
+        assert taxes[True] == taxes[False]

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
 from typing import Optional, Sequence, Tuple
+
+import pytest
 
 from repro.ir import Module, verify_module
 from repro.minic import compile_source
 from repro.sgx import Enclave, EnclaveConfig
-from repro.vm import VM
+from repro.vm import VM, fastpath
 from repro.vm.scheme import SchemeRuntime
 
 
@@ -35,3 +38,24 @@ def run_c(source: str, scheme: Optional[SchemeRuntime] = None,
     result = vm.run(entry, args)
     vm.enclave.finalize()
     return result, vm
+
+
+@pytest.fixture
+def unfused(monkeypatch):
+    """``with unfused(): ...`` runs every VM on plain handlers only: one
+    dispatch per instruction, no superinstructions and no chains, so a
+    test can diff fused dispatch against the single definition of each
+    opcode it is built from."""
+    compile_function = fastpath.compile_function
+
+    def plain_only(vm, fn, consts):
+        fc = compile_function(vm, fn, consts)
+        return fastpath.FastCode(fc.plain, [1] * len(fc.plain), fc.plain,
+                                 fc.code, {})
+
+    @contextlib.contextmanager
+    def scope():
+        with monkeypatch.context() as patch:
+            patch.setattr(fastpath, "compile_function", plain_only)
+            yield
+    return scope

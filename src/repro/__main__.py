@@ -13,7 +13,9 @@ stdout and every status line (``[fig7: 1.2s]``, ``[results -> r.json]``)
 to stderr.  ``--trace-out``/``--metrics-out``/``--log-out`` go to a
 shared telemetry or forensics sink when a selected row records into it,
 merging those rows into one file; any other path flag must be written by
-exactly one selected run, else the command ends in a usage error.
+exactly one selected run, else the command ends in a usage error.  So
+does a value flag (``--workers``, ``--fault-rate``, ``--rewarm-scales``)
+that no selected row reads.
 """
 
 from __future__ import annotations
@@ -42,6 +44,8 @@ from repro.workloads import SIZES
 SINKS = ("trace_out", "metrics_out", "log_out")
 #: Every path flag, in the order a run writes its artifacts.
 ARTIFACTS = SINKS + ("metrics_text_out", "results_out")
+#: Value flags only some rows read, with their defaults.
+VALUES = {"workers": 4, "fault_rate": 0.2, "rewarm_scales": (1.0, 8.0)}
 
 Writer = Callable[[object, str], None]
 
@@ -55,6 +59,8 @@ class Experiment:
     artifacts: Mapping[str, Writer] = field(default_factory=dict)
     #: sink flags whose shared sink records this run.
     sinks: Tuple[str, ...] = SINKS
+    #: the :data:`VALUES` flags this run reads.
+    reads: Tuple[str, ...] = ()
     #: positional targets (``profile fig07``): metavar for ``list``, a
     #: validator raising ``KeyError``, and the target when none is given.
     targets: Optional[str] = None
@@ -107,11 +113,12 @@ EXPERIMENTS: Dict[str, Experiment] = {
     "fig13": Experiment(lambda args, _: exp.fig13_case_studies()),
     "chaos": Experiment(lambda args, _: chaos_availability(
         policies=_policies(args), fault_rates=(0.0, args.fault_rate),
-        size=args.size, seed=args.seed)),
+        size=args.size, seed=args.seed), reads=("fault_rate",)),
     "fleet": Experiment(lambda args, _: exp.fleet_availability(
         app=args.app, workers=args.workers, fault_rate=args.fault_rate,
         seed=args.seed, size=args.size, policies=_policies(args),
-        rewarm_scales=args.rewarm_scales, balance=args.balance)),
+        rewarm_scales=args.rewarm_scales, balance=args.balance),
+        reads=tuple(VALUES)),
     # recover and overload fix their campaign shapes (workers, fault
     # rate, rates) so failover and saturation deterministically occur.
     "recover": Experiment(
@@ -139,7 +146,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
                    "trace_out": _json("chrome_trace"),
                    **_results(lambda data: result_document(
                        "observe_dashboard", _pick(data, _OBSERVE_KEYS)))},
-        sinks=("log_out",)),
+        sinks=("log_out",), reads=("workers",)),
     "profile": Experiment(
         lambda args, target: profile_experiment(target, size=args.size),
         artifacts={"trace_out": _json("trace"),
@@ -160,7 +167,8 @@ EXPERIMENTS: Dict[str, Experiment] = {
                        f"postmortem_{data['app']}",
                        {"campaign": data["result"].as_dict(),
                         "postmortems": data["forensics"].postmortems}))},
-        sinks=(), targets="<app>", check=_fleet_app, default="memcached"),
+        sinks=(), reads=("workers", "fault_rate"), targets="<app>",
+        check=_fleet_app, default="memcached"),
 }
 
 #: Writers for the shared sinks, given ``(telemetry, forensics)``.
@@ -230,6 +238,18 @@ def _route(parser, args, runs):
     return shared, owned
 
 
+def _values(parser, args, runs) -> None:
+    """Apply the value rule: a :data:`VALUES` flag given on the command
+    line must be read by a selected run; an absent one takes its
+    default."""
+    for flag, default in VALUES.items():
+        if getattr(args, flag) is None:
+            setattr(args, flag, default)
+        elif not any(flag in row.reads for _, row, _ in runs):
+            parser.error(f"--{flag.replace('_', '-')}: "
+                         f"{' '.join(args.experiments)} does not read it")
+
+
 def _bounded(convert, ok, what):
     """argparse type: ``convert`` the text, then refuse values ``ok``
     rejects, so an out-of-range number is a usage error, not a run."""
@@ -262,20 +282,23 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--policy", default=None, choices=ALL_POLICIES,
                         help="violation policy (default: compare abort, "
                              "drop-request and boundless)")
-    parser.add_argument("--fault-rate", type=_PROBABILITY, default=0.2,
-                        help="request corruption probability for chaos")
+    parser.add_argument("--fault-rate", type=_PROBABILITY,
+                        help="chaos/fleet/postmortem: request corruption "
+                             "probability (default 0.2)")
     parser.add_argument("--seed", type=int, default=1234,
                         help="chaos run seed (fuzzer/scheduler/clients)")
     parser.add_argument("--app", default="memcached", choices=tuple(PROFILES),
                         help="fleet/observe: server app")
-    parser.add_argument("--workers", type=_AT_LEAST_ONE, default=4,
-                        help="fleet: number of enclave workers")
+    parser.add_argument("--workers", type=_AT_LEAST_ONE,
+                        help="fleet/observe/postmortem: number of enclave "
+                             "workers (default 4)")
     parser.add_argument("--balance", default="round-robin",
                         choices=BALANCE_POLICIES,
                         help="fleet: dispatch policy")
     parser.add_argument("--rewarm-scales", type=_SCALE, nargs="+",
-                        default=(1.0, 8.0), metavar="SCALE",
-                        help="fleet: EPC re-warm multipliers to sweep")
+                        metavar="SCALE",
+                        help="fleet: EPC re-warm multipliers to sweep "
+                             "(default 1 8)")
     parser.add_argument("--trace-out", metavar="PATH",
                         help="export a Chrome trace_event JSON of the run")
     parser.add_argument("--metrics-text-out", metavar="PATH",
@@ -302,6 +325,7 @@ def main(argv=None) -> int:
         return 0
 
     runs = _runs(parser, args)
+    _values(parser, args, runs)
     shared, owned = _route(parser, args, runs)
     sinks = (telemetry_mod.Telemetry()
              if {"trace_out", "metrics_out"} & set(shared) else None,

@@ -150,13 +150,13 @@ def profile_experiment(target: str, size: str = "XS",
                     scheme, sum(hits.values()),
                     hits.get("gep_load", 0), hits.get("gep_store", 0),
                     hits.get("cmp_br", 0), hits.get("bnd_access", 0),
-                    hits.get("chain", 0)])
+                    hits.get("block", 0)])
         if fusion_rows:
             chunks.append(report.series_table(
                 f"Fast-path fusion: {workload.name} (size {size}) — "
                 f"superinstruction dispatches",
                 ["scheme", "total", "gep_load", "gep_store", "cmp_br",
-                 "bnd_access", "chain"], fusion_rows))
+                 "bnd_access", "block"], fusion_rows))
     # One exemplar flame table: the baseline profile of the last workload.
     flame = flame_rows(profiles[baseline], cost, enclave, limit=flame_limit)
     chunks.append(report.series_table(

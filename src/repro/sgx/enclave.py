@@ -103,6 +103,11 @@ class Enclave:
         self.events = None
         # The unaddressable last page (paper §4.4) protects hoisted checks.
         self.space.map(GUARD_PAGE_BASE, PAGE_SIZE, PERM_GUARD, "guard")
+        #: The trace hooks, one closure each from :meth:`_make_trace`.
+        #: The observed one adds an ``epc_fault`` event per fault and
+        #: charges identical counters.
+        self._trace = self._make_trace(observed=False)
+        self._trace_observed = self._make_trace(observed=True)
         self.space.tracer = self._trace
 
     def attach_events(self, events) -> None:
@@ -114,35 +119,41 @@ class Enclave:
             self.epc.events = events
 
     # ------------------------------------------------------------------
-    def _trace(self, address: int, size: int, is_write: bool) -> None:
+    def _make_trace(self, observed: bool):
+        """The hook charging one data access through the cache and EPC
+        models.  Everything it binds keeps its identity across
+        :meth:`restore`."""
         counters = self.counters
-        if is_write:
-            counters.stores += 1
-        else:
-            counters.loads += 1
-        depth = self.caches.access(address, size, counters)
-        if depth == 2 and self.epc is not None:
-            counters.mee_decrypts += 1
-            if self.epc.touch(address >> PAGE_SHIFT):
-                counters.epc_faults += 1
+        access = self.caches.access
+        epc = self.epc
 
-    def _trace_observed(self, address: int, size: int,
-                        is_write: bool) -> None:
-        """The same accounting as :meth:`_trace`, plus an ``epc_fault``
-        event per fault.  Charges identical counters."""
-        counters = self.counters
-        if is_write:
-            counters.stores += 1
-        else:
-            counters.loads += 1
-        depth = self.caches.access(address, size, counters)
-        if depth == 2 and self.epc is not None:
-            counters.mee_decrypts += 1
-            if self.epc.touch(address >> PAGE_SHIFT):
-                counters.epc_faults += 1
-                self.events.emit("epc_fault", counters.instructions,
-                                 page=address >> PAGE_SHIFT,
-                                 resident=self.epc.resident_pages)
+        def trace(address: int, size: int, is_write: bool) -> None:
+            if is_write:
+                counters.stores += 1
+            else:
+                counters.loads += 1
+            if access(address, size, counters) == 2 and epc is not None:
+                counters.mee_decrypts += 1
+                if epc.touch(address >> PAGE_SHIFT):
+                    counters.epc_faults += 1
+                    if observed:
+                        self.events.emit("epc_fault", counters.instructions,
+                                         page=address >> PAGE_SHIFT,
+                                         resident=epc.resident_pages)
+        return trace
+
+    def l1_hit_path(self) -> tuple:
+        """``(hooks, sets, nsets, counters)`` for an inlined accessor that
+        takes an L1 hit itself while ``space.tracer`` is one of ``hooks``.
+
+        An access within one line that hits L1 makes no event and no
+        cache or EPC change beyond moving its line to most-recently-used
+        in ``sets[line % nsets]``, so the accessor charges ``loads`` or
+        ``stores`` and ``l1_accesses`` and does exactly that; any other
+        access goes through the hook."""
+        l1 = self.caches.l1
+        return ((self._trace, self._trace_observed), l1._data, l1.sets,
+                self.counters)
 
     # ------------------------------------------------------------------
     def snapshot(self) -> tuple:

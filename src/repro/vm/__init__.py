@@ -2,6 +2,10 @@
 
 from repro.vm.loader import Program, load_program
 from repro.vm.machine import BLOCK_RETRY, NativeResult, VM, run_module
+# Every run predecodes, so the interpreter loads with the package rather
+# than inside the first predecode, where its import would stack on a
+# live VM.
+from repro.vm import fastpath  # noqa: F401  (after machine: it imports it)
 from repro.vm.scheme import NativeScheme, SchemeRuntime
 
 __all__ = [

@@ -1,40 +1,49 @@
 """Predecoded handler dispatch — the interpreter.
 
 :func:`compile_function` turns one finalized IR function into a flat list
-of *bound handler closures*: operands are resolved once per instruction
-(register index vs constant-pool value), per-op behaviour comes from a
-registry of closure makers, and the hottest instruction pairs observed in
-profiles are fused into superinstructions — GEP+LOAD, GEP+STORE, CMP+BR
-and MPX's BNDCL+BNDCU+access triple.
+of *bound handler closures*, in three tiers:
+
+1. *plain* handlers, one per instruction: operands are resolved once
+   (register index vs constant-pool value) and per-op behaviour comes
+   from a registry of closure makers;
+2. *pair fusion*: the hottest instruction pairs observed in profiles are
+   fused into superinstructions — GEP+LOAD, GEP+STORE, CMP+BR and MPX's
+   BNDCL+BNDCU+access triple;
+3. *compiled blocks*: once a basic block has been entered
+   ``BLOCK_THRESHOLD`` times, its straight-line region becomes one
+   generated Python function (see "Compiled blocks" below).
 
 The plain handlers are the single definition of each opcode's semantics
 and cost.  What they must produce is pinned by the committed expectations
 in ``tests/goldens/reference_runs.json`` (``tests/test_vm_differential.py``):
 stdout, :class:`~repro.sgx.counters.PerfCounters`, violations and
 forensics records for every workload x scheme cell, a server scheme x
-policy matrix and a generated-program corpus.  Fused dispatch must be
-indistinguishable from plain dispatch — identical counters at every
-observable point (native calls, traced memory accesses, violations) and
-identical thread interleavings.  The rules that make this hold:
+policy matrix and a generated-program corpus.  Fused handlers and blocks
+must be indistinguishable from plain dispatch — identical counters at
+every observable point (native calls, traced memory accesses, violations,
+exceptions) and identical thread interleavings.  The rules that make this
+hold:
 
-* every handler advances ``counters.instructions`` by its full cost
-  *before* any observable side effect — a traced memory access, a native
-  call, a raised violation — so timestamps and EPC/cache accounting line
-  up to the instruction;
-* the dispatch loop charges a fused handler its full quantum cost and
-  never starts a superinstruction that does not fit in the remaining
-  quantum, so cooperative thread switches land on the same instruction
-  boundaries as one-instruction dispatch;
+* ``counters.instructions`` covers every instruction before any
+  observable side effect — a traced memory access, a native call, a
+  raised violation — so timestamps and EPC/cache accounting line up to
+  the instruction;
+* the dispatch loop runs ``handlers[pc]`` only when ``costs[pc]`` — the
+  number of instructions it executes — fits in the remaining quantum,
+  and finishes the slice on plain handlers otherwise, so cooperative
+  thread switches land on the same instruction boundaries as
+  one-instruction dispatch;
 * every code index keeps a valid standalone handler — branches, request
   checkpoints and ``BLOCK_RETRY`` resumes may land *inside* a fused
-  region, in which case the tail instructions simply execute unfused.
+  region or block, in which case the tail instructions simply execute
+  on their own handlers.
 
 Handler calling convention: ``handler(frame, regs, thread) -> next_pc``,
 where a negative result means "yield to the outer loop" (call, return,
-block, thread exit) with ``frame.pc`` already stored.  Fused handlers
-occupy the *first* index of their region in ``FastCode.handlers`` with
-their length recorded in ``FastCode.costs``; ``FastCode.plain`` holds the
-unfused handler for every index.
+block, thread exit) with ``frame.pc`` already stored.  Fused handlers and
+blocks occupy the *first* index of their region in ``FastCode.handlers``
+with their length recorded in ``FastCode.costs``; ``FastCode.plain`` holds
+the plain handler for every index.
 """
 
 from __future__ import annotations
@@ -46,6 +55,7 @@ from repro.errors import BoundsViolation, SegmentationFault, TrapError, VMError
 from repro.ir import instructions as ops
 from repro.ir.instructions import CMP_OPS
 from repro.memory.layout import ADDRESS_MASK, PAGE_MASK, PAGE_SHIFT, PAGE_SIZE
+from repro.sgx.cache import LINE_SHIFT, LINE_SIZE
 from repro.vm.machine import (
     _BIN,
     _s64,
@@ -61,10 +71,9 @@ from repro.vm.machine import (
 _UINT = {1: struct.Struct("<B"), 2: struct.Struct("<H"),
          4: struct.Struct("<I"), 8: struct.Struct("<Q")}
 _F64 = struct.Struct("<d")
+_LINE_MASK = LINE_SIZE - 1
 
-#: Longest superinstruction, in IR instructions (quantum units).  The
-#: dispatch loop falls back to unfused execution once the remaining
-#: quantum drops below this, so fused handlers never overdraw a slice.
+#: Longest superinstruction, in IR instructions (quantum units).
 FUSE_MAX = 3
 
 Handler = Callable[[object, list, object], int]
@@ -99,19 +108,28 @@ class FastCode:
 # unmapped, or mapped but never touched — and anything else unusual (page
 # crossing, guard or protected page) falls back to the AddressSpace slow
 # path, which raises the same faults with the same messages and
-# materializes on first touch.  The tracer fires exactly once per access
-# either way: the fast branch only runs after every fallback condition
-# has been ruled out, and it reads ``space.tracer`` per access because
-# bulk natives swap it out.
+# materializes on first touch.  The access is charged exactly once either
+# way: the fast branch only runs after every fallback condition has been
+# ruled out, and it reads ``space.tracer`` per access because bulk
+# natives swap it out.  While the tracer is one of the enclave's own
+# hooks, an access within one cache line that hits L1 is charged right
+# here (``Enclave.l1_hit_path``): the same counters and the same LRU
+# move as ``Cache.access``, one frame instead of four.
 # PERM_READ=1 / PERM_RW=3 are frozen constants of the memory layout.
 # ---------------------------------------------------------------------------
 
-def _fast_reader(space, size: int) -> Callable[[int], int]:
+#: ``l1`` of an accessor over a bare AddressSpace: no hook is the
+#: enclave's, so every access goes through ``space.tracer``.
+_NO_L1 = ((object(), object()), {}, 1, None)
+
+def _fast_reader(space, size: int, l1=None) -> Callable[[int], int]:
     pages = space._pages
     perms = space._perms
     read_uint = space.read_uint
     limit = PAGE_SIZE - size
     unpack_from = _UINT[size].unpack_from
+    (own, observed), l1sets, nsets, counters = l1 or _NO_L1
+    in_line = LINE_SIZE - size
     def rd(addr):
         if addr & PAGE_MASK <= limit:
             idx = addr >> PAGE_SHIFT
@@ -120,19 +138,32 @@ def _fast_reader(space, size: int) -> Callable[[int], int]:
                 page = pages.get(idx)
                 if page is not None:
                     tr = space.tracer
-                    if tr is not None:
+                    if tr is own or tr is observed:
+                        if addr & _LINE_MASK <= in_line:
+                            line = addr >> LINE_SHIFT
+                            ways = l1sets.get(line % nsets)
+                            if ways is not None and line in ways:
+                                del ways[line]
+                                ways[line] = None
+                                counters.loads += 1
+                                counters.l1_accesses += 1
+                                return unpack_from(page, addr & PAGE_MASK)[0]
+                        tr(addr, size, False)
+                    elif tr is not None:
                         tr(addr, size, False)
                     return unpack_from(page, addr & PAGE_MASK)[0]
         return read_uint(addr, size)
     return rd
 
 
-def _fast_reader_f64(space) -> Callable[[int], float]:
+def _fast_reader_f64(space, l1=None) -> Callable[[int], float]:
     pages = space._pages
     perms = space._perms
     read_f64 = space.read_f64
     limit = PAGE_SIZE - 8
     unpack_from = _F64.unpack_from
+    (own, observed), l1sets, nsets, counters = l1 or _NO_L1
+    in_line = LINE_SIZE - 8
     def rd(addr):
         if addr & PAGE_MASK <= limit:
             idx = addr >> PAGE_SHIFT
@@ -141,20 +172,33 @@ def _fast_reader_f64(space) -> Callable[[int], float]:
                 page = pages.get(idx)
                 if page is not None:
                     tr = space.tracer
-                    if tr is not None:
+                    if tr is own or tr is observed:
+                        if addr & _LINE_MASK <= in_line:
+                            line = addr >> LINE_SHIFT
+                            ways = l1sets.get(line % nsets)
+                            if ways is not None and line in ways:
+                                del ways[line]
+                                ways[line] = None
+                                counters.loads += 1
+                                counters.l1_accesses += 1
+                                return unpack_from(page, addr & PAGE_MASK)[0]
+                        tr(addr, 8, False)
+                    elif tr is not None:
                         tr(addr, 8, False)
                     return unpack_from(page, addr & PAGE_MASK)[0]
         return read_f64(addr)
     return rd
 
 
-def _fast_writer(space, size: int) -> Callable[[int, int], None]:
+def _fast_writer(space, size: int, l1=None) -> Callable[[int, int], None]:
     pages = space._pages
     perms = space._perms
     write_uint = space.write_uint
     limit = PAGE_SIZE - size
     pack_into = _UINT[size].pack_into
     mask = (1 << (size * 8)) - 1
+    (own, observed), l1sets, nsets, counters = l1 or _NO_L1
+    in_line = LINE_SIZE - size
     def wr(addr, value):
         if addr & PAGE_MASK <= limit:
             idx = addr >> PAGE_SHIFT
@@ -162,7 +206,20 @@ def _fast_writer(space, size: int) -> Callable[[int, int], None]:
                 page = pages.get(idx)
                 if page is not None:
                     tr = space.tracer
-                    if tr is not None:
+                    if tr is own or tr is observed:
+                        if addr & _LINE_MASK <= in_line:
+                            line = addr >> LINE_SHIFT
+                            ways = l1sets.get(line % nsets)
+                            if ways is not None and line in ways:
+                                del ways[line]
+                                ways[line] = None
+                                counters.stores += 1
+                                counters.l1_accesses += 1
+                                pack_into(page, addr & PAGE_MASK,
+                                          value & mask)
+                                return
+                        tr(addr, size, True)
+                    elif tr is not None:
                         tr(addr, size, True)
                     pack_into(page, addr & PAGE_MASK, value & mask)
                     return
@@ -170,12 +227,14 @@ def _fast_writer(space, size: int) -> Callable[[int, int], None]:
     return wr
 
 
-def _fast_writer_f64(space) -> Callable[[int, float], None]:
+def _fast_writer_f64(space, l1=None) -> Callable[[int, float], None]:
     pages = space._pages
     perms = space._perms
     write_f64 = space.write_f64
     limit = PAGE_SIZE - 8
     pack_into = _F64.pack_into
+    (own, observed), l1sets, nsets, counters = l1 or _NO_L1
+    in_line = LINE_SIZE - 8
     def wr(addr, value):
         if addr & PAGE_MASK <= limit:
             idx = addr >> PAGE_SHIFT
@@ -183,7 +242,19 @@ def _fast_writer_f64(space) -> Callable[[int, float], None]:
                 page = pages.get(idx)
                 if page is not None:
                     tr = space.tracer
-                    if tr is not None:
+                    if tr is own or tr is observed:
+                        if addr & _LINE_MASK <= in_line:
+                            line = addr >> LINE_SHIFT
+                            ways = l1sets.get(line % nsets)
+                            if ways is not None and line in ways:
+                                del ways[line]
+                                ways[line] = None
+                                counters.stores += 1
+                                counters.l1_accesses += 1
+                                pack_into(page, addr & PAGE_MASK, value)
+                                return
+                        tr(addr, 8, True)
+                    elif tr is not None:
                         tr(addr, 8, True)
                     pack_into(page, addr & PAGE_MASK, value)
                     return
@@ -195,10 +266,11 @@ class _MemCache:
     """Per-compile cache of the inlined accessors (one closure per
     (space, size, direction), shared by every handler that needs it)."""
 
-    __slots__ = ("space", "_readers", "_writers", "_rf64", "_wf64")
+    __slots__ = ("space", "l1", "_readers", "_writers", "_rf64", "_wf64")
 
-    def __init__(self, space):
-        self.space = space
+    def __init__(self, enclave):
+        self.space = enclave.space
+        self.l1 = enclave.l1_hit_path()
         self._readers: Dict[int, Callable] = {}
         self._writers: Dict[int, Callable] = {}
         self._rf64 = None
@@ -207,23 +279,23 @@ class _MemCache:
     def reader(self, size: int) -> Callable[[int], int]:
         rd = self._readers.get(size)
         if rd is None:
-            rd = self._readers[size] = _fast_reader(self.space, size)
+            rd = self._readers[size] = _fast_reader(self.space, size, self.l1)
         return rd
 
     def writer(self, size: int) -> Callable[[int, int], None]:
         wr = self._writers.get(size)
         if wr is None:
-            wr = self._writers[size] = _fast_writer(self.space, size)
+            wr = self._writers[size] = _fast_writer(self.space, size, self.l1)
         return wr
 
     def reader_f64(self) -> Callable[[int], float]:
         if self._rf64 is None:
-            self._rf64 = _fast_reader_f64(self.space)
+            self._rf64 = _fast_reader_f64(self.space, self.l1)
         return self._rf64
 
     def writer_f64(self) -> Callable[[int, float], None]:
         if self._wf64 is None:
-            self._wf64 = _fast_writer_f64(self.space)
+            self._wf64 = _fast_writer_f64(self.space, self.l1)
         return self._wf64
 
 
@@ -955,38 +1027,6 @@ def _fuse_gep_store(gep, store, consts, i, counters, mem, track_bounds,
     return h
 
 
-def _chain2(h1, h2, stats):
-    """Batch two adjacent handlers into one dispatch.  Valid whenever h1
-    is straight-line (fixed fall-through, never yields): every sub-handler
-    still charges its own counters before its own observable effects, so
-    an exception from h2 leaves exactly the state plain dispatch would."""
-    if stats is None:
-        def h(frame, regs, thread):
-            h1(frame, regs, thread)
-            return h2(frame, regs, thread)
-        return h
-    def h(frame, regs, thread):
-        h1(frame, regs, thread)
-        stats["chain"] += 1
-        return h2(frame, regs, thread)
-    return h
-
-
-def _chain3(h1, h2, h3, stats):
-    if stats is None:
-        def h(frame, regs, thread):
-            h1(frame, regs, thread)
-            h2(frame, regs, thread)
-            return h3(frame, regs, thread)
-        return h
-    def h(frame, regs, thread):
-        h1(frame, regs, thread)
-        h2(frame, regs, thread)
-        stats["chain"] += 1
-        return h3(frame, regs, thread)
-    return h
-
-
 def _fuse_cmp_br(cmp_ins, br, consts, counters, stats):
     fn2 = _BIN[cmp_ins.op]
     a, b, dest = cmp_ins.a, cmp_ins.b, cmp_ins.dest
@@ -1123,27 +1163,26 @@ def _make_plain(ins, consts, i, counters, vm, track_bounds, mem):
         f"unhandled opcode {op} ({ops.OP_NAMES.get(op)})", counters)
 
 
-#: Ops whose handlers are straight-line: fixed fall-through, never yield
-#: to the dispatch loop.  (They may still raise — traps, faults and
-#: violations propagate from inside a chain with plain-dispatch state.)
+#: Ops a compiled block may contain: straight-line, with a fixed
+#: fall-through, never yielding to the dispatch loop.  (They may still
+#: raise — traps, faults and violations leave a block with plain-dispatch
+#: state.)
 _STRAIGHT_OPS = frozenset(_BIN) | frozenset((
     ops.LOAD, ops.STORE, ops.GEP, ops.MOV, ops.SELECT, ops.ALLOCA,
     ops.TRUNC, ops.SEXT, ops.SITOFP, ops.FPTOSI, ops.FNEG,
     ops.ATOMICRMW, ops.CMPXCHG, ops.BNDMK, ops.BNDCL, ops.BNDCU,
     ops.BNDLDX, ops.BNDSTX, ops.NOP))
 
-#: Ops that may end (but not start or continue) a chain: they transfer
-#: control, so the chain simply returns their computed target.
+#: Ops that end a block: they transfer control, so the block returns
+#: their target.
 _TERM_OPS = frozenset((ops.BR, ops.JMP))
-
-_STRAIGHT_FUSED = frozenset(("gep_load", "gep_store", "bnd_access"))
 
 
 def compile_function(vm, fn, consts) -> FastCode:
     """Predecode ``fn`` against ``vm``'s bound runtime (space, counters,
     scheme, telemetry) and ``consts`` (the loader-resolved pool)."""
     counters = vm.counters
-    mem = _MemCache(vm.space)
+    mem = _MemCache(vm.enclave)
     track_bounds = vm.scheme.uses_register_bounds
     code = fn.code
     n = len(code)
@@ -1161,15 +1200,14 @@ def compile_function(vm, fn, consts) -> FastCode:
     starts = getattr(fn, "block_starts", None)
     if starts is None:
         starts = frozenset(fn.block_index.values())
-    # Fusion hits are only tallied when telemetry observes the run: the
-    # default path keeps the zero-cost-when-off contract.
+    # Fusion and block hits are only tallied when telemetry observes the
+    # run: the default path keeps the zero-cost-when-off contract.
     stats = None
     if vm.telemetry is not None:
         stats = vm.fastpath_stats
         for kind in ("gep_load", "gep_store", "cmp_br", "bnd_access",
-                     "chain"):
+                     "block"):
             stats.setdefault(kind, 0)
-    fkind: Dict[int, str] = {}
     i = 0
     while i < n - 1:
         ins = code[i]
@@ -1205,55 +1243,344 @@ def compile_function(vm, fn, consts) -> FastCode:
         if fused is not None:
             handlers[i] = fused
             costs[i] = length
-            fkind[i] = kind
             sites[kind] = sites.get(kind, 0) + 1
             i += length
         else:
             i += 1
 
-    # Second pass: batch the remaining adjacent straight-line handlers
-    # (including the specialized superinstructions above) into chains of
-    # up to FUSE_MAX quantum units, ending early on a control transfer.
-    # Pure dispatch elision — each sub-handler runs unchanged, so the
-    # plain-dispatch identity is untouched; only loop bookkeeping is saved.
-    def _straight(idx):
-        k = fkind.get(idx)
-        if k is not None:
-            return k in _STRAIGHT_FUSED
-        return code[idx].op in _STRAIGHT_OPS
+    # Block heads: every basic-block start, and every instruction after
+    # a CALL (returns resume there).  A head whose region spans at least
+    # two instructions gets an entry-counting handler; the region is
+    # compiled only once it turns hot.
+    fc = FastCode(handlers, costs, plain, code, sites)
+    ctx = _BlockContext(fn.name, consts, starts, counters, mem,
+                        track_bounds, stats)
+    heads = set(starts)
+    heads.update(k + 1 for k in range(n) if code[k].op == ops.CALL)
+    for head in heads:
+        if head + 1 < n and head + 1 not in starts \
+                and code[head].op in _STRAIGHT_OPS \
+                and code[head + 1].op in _REGION_OPS:
+            handlers[head] = _block_entry(fc, head, ctx)
+            sites["block"] = sites.get("block", 0) + 1
+    return fc
 
-    def _chainable_tail(idx):
-        k = fkind.get(idx)
-        if k is not None:
-            return k in _STRAIGHT_FUSED or k == "cmp_br"
-        return code[idx].op in _STRAIGHT_OPS or code[idx].op in _TERM_OPS
 
-    i = 0
-    while i < n:
-        total = costs[i]
-        if total >= FUSE_MAX or not _straight(i):
-            i += total
-            continue
-        j = i + total
-        if j >= n or j in starts or costs[j] + total > FUSE_MAX \
-                or not _chainable_tail(j):
-            i += total
-            continue
-        members = [handlers[i], handlers[j]]
-        total += costs[j]
-        if _straight(j) and total < FUSE_MAX:
-            k = j + costs[j]
-            if k < n and k not in starts \
-                    and costs[k] + total <= FUSE_MAX \
-                    and _chainable_tail(k):
-                members.append(handlers[k])
-                total += costs[k]
-        if len(members) == 2:
-            handlers[i] = _chain2(members[0], members[1], stats)
-        else:
-            handlers[i] = _chain3(members[0], members[1], members[2],
-                                  stats)
-        costs[i] = total
-        sites["chain"] = sites.get("chain", 0) + 1
-        i += total
-    return FastCode(handlers, costs, plain, code, sites)
+# ---------------------------------------------------------------------------
+# Compiled blocks.  A region runs from its head through straight-line
+# code up to and including the BR/JMP that ends its basic block, and
+# stops before anything else (a CALL, RET or TRAP, or the next block
+# start).  Once a head has been entered BLOCK_THRESHOLD times, the region
+# becomes one generated Python function that replaces the head's handler,
+# with ``costs[head]`` set to the region's length; the dispatch loop
+# enters it only when that fits in the remaining quantum.  Registers are
+# cached in locals and written to ``regs`` as each value is computed.
+# ``counters.instructions`` is batched: each instruction's cost is added
+# to the pending sum, which is flushed before every memory access, call
+# of a plain handler and op that may raise (div/rem, float conversions),
+# and at block exit — so every observable point, and every exception,
+# sees exactly the counters and registers plain dispatch would leave.
+# Hot ops are emitted as source; any other straight-line op is a call to
+# its plain handler, so its semantics stay defined in one place.
+# ---------------------------------------------------------------------------
+
+#: Entries into a region head before its block is compiled.  Generating
+#: and compiling a block costs about as much host time as a hundred runs
+#: of it save, so code that stays lukewarm keeps its predecoded handlers.
+BLOCK_THRESHOLD = 64
+
+_REGION_OPS = _STRAIGHT_OPS | _TERM_OPS
+_M64 = repr(M64)
+_M32 = repr(M32)
+_HI32 = repr(HI32)
+_SIGN64 = repr(1 << 63)
+_WRAP64 = repr(1 << 64)
+
+#: Source templates of the non-trapping ``_BIN`` ops, over operand
+#: atoms ``{a}``/``{b}`` and their signed views ``{sa}``/``{sb}``.
+_BIN_SRC = {
+    ops.ADD: "({a} + {b}) & " + _M64,
+    ops.SUB: "({a} - {b}) & " + _M64,
+    ops.MUL: "({a} * {b}) & " + _M64,
+    ops.AND: "{a} & {b}",
+    ops.OR: "{a} | {b}",
+    ops.XOR: "{a} ^ {b}",
+    ops.SHL: "({a} << ({b} & 63)) & " + _M64,
+    ops.LSHR: "{a} >> ({b} & 63)",
+    ops.ASHR: "({sa} >> ({b} & 63)) & " + _M64,
+    ops.FADD: "{a} + {b}",
+    ops.FSUB: "{a} - {b}",
+    ops.FMUL: "{a} * {b}",
+    ops.EQ: "1 if {a} == {b} else 0",
+    ops.NE: "1 if {a} != {b} else 0",
+    ops.SLT: "1 if {sa} < {sb} else 0",
+    ops.SLE: "1 if {sa} <= {sb} else 0",
+    ops.SGT: "1 if {sa} > {sb} else 0",
+    ops.SGE: "1 if {sa} >= {sb} else 0",
+    ops.ULT: "1 if {a} < {b} else 0",
+    ops.ULE: "1 if {a} <= {b} else 0",
+    ops.UGT: "1 if {a} > {b} else 0",
+    ops.UGE: "1 if {a} >= {b} else 0",
+    ops.FEQ: "1 if {a} == {b} else 0",
+    ops.FNE: "1 if {a} != {b} else 0",
+    ops.FLT: "1 if {a} < {b} else 0",
+    ops.FLE: "1 if {a} <= {b} else 0",
+    ops.FGT: "1 if {a} > {b} else 0",
+    ops.FGE: "1 if {a} >= {b} else 0",
+}
+
+#: Straight-line ops the writer emits as source; every one but STORE
+#: writes a destination register.
+_INLINE_OPS = frozenset(_BIN) | frozenset((
+    ops.LOAD, ops.STORE, ops.GEP, ops.MOV, ops.SELECT, ops.ALLOCA,
+    ops.TRUNC, ops.SEXT, ops.SITOFP, ops.FPTOSI, ops.FNEG))
+
+
+class _BlockContext:
+    """What compiling one function's blocks needs, bound at predecode."""
+
+    __slots__ = ("name", "consts", "starts", "counters", "mem",
+                 "track_bounds", "stats")
+
+    def __init__(self, name, consts, starts, counters, mem, track_bounds,
+                 stats):
+        self.name = name
+        self.consts = consts
+        self.starts = starts
+        self.counters = counters
+        self.mem = mem
+        self.track_bounds = track_bounds
+        self.stats = stats
+
+
+def _block_entry(fc: FastCode, head: int, ctx: _BlockContext) -> Handler:
+    """Run the head's predecoded handler, counting entries; the
+    BLOCK_THRESHOLD-th entry compiles the region, which replaces this
+    handler from the next entry on."""
+    inner = fc.handlers[head]
+    left = BLOCK_THRESHOLD
+    def h(frame, regs, thread):
+        nonlocal left
+        left -= 1
+        if not left:
+            _install_block(fc, head, ctx)
+        return inner(frame, regs, thread)
+    return h
+
+
+def _region_end(code: list, head: int, starts) -> int:
+    """One past the last instruction of the region headed at ``head``."""
+    n = len(code)
+    j = head
+    while j < n and (j == head or j not in starts):
+        op = code[j].op
+        if op in _TERM_OPS:
+            return j + 1
+        if op not in _STRAIGHT_OPS:
+            break
+        j += 1
+    return j
+
+
+def _install_block(fc: FastCode, head: int, ctx: _BlockContext) -> None:
+    end = _region_end(fc.code, head, ctx.starts)
+    writer = _BlockWriter(ctx, fc.plain)
+    src = writer.source(fc.code, head, end)
+    scope: Dict[str, object] = {}
+    exec(compile(src, f"<block {ctx.name}@{head}>", "exec"), scope)
+    fc.handlers[head] = scope["make"](*writer.binds.values())
+    fc.costs[head] = end - head
+
+
+class _BlockWriter:
+    """Python source of one region: ``make(<binds>)`` returns the block's
+    handler, with every runtime object it uses bound as a closure cell."""
+
+    def __init__(self, ctx: _BlockContext, plain: List[Handler]):
+        self.ctx = ctx
+        self.plain = plain
+        self.binds: Dict[str, object] = {"counters": ctx.counters}
+        self.lines: List[str] = []
+        self.cached: set = set()    # registers held in locals
+        self.pending = 0            # instructions not yet charged
+        self.uses_bounds = False
+
+    # -- operands ---------------------------------------------------------
+    def bind(self, name: str, value) -> str:
+        self.binds[name] = value
+        return name
+
+    def reg(self, r: int) -> str:
+        if r not in self.cached:
+            self.lines.append(f"r{r} = regs[{r}]")
+            self.cached.add(r)
+        return f"r{r}"
+
+    def const(self, value) -> str:
+        if type(value) is int:
+            return f"({value!r})"
+        return self.bind(f"k{len(self.binds)}", value)
+
+    def val(self, x: int) -> str:
+        return self.reg(x) if x >= 0 else self.const(self.ctx.consts[-x - 1])
+
+    def sval(self, x: int) -> str:
+        """Signed view of operand ``x`` (``_s64``)."""
+        if x < 0:
+            value = self.ctx.consts[-x - 1]
+            if type(value) is int:
+                return f"({_s64(value)!r})"
+        v = self.val(x)
+        return f"({v} - {_WRAP64} if {v} & {_SIGN64} else {v})"
+
+    def addr(self, x: int) -> str:
+        if x < 0:
+            value = self.ctx.consts[-x - 1]
+            if type(value) is int:
+                return repr(value & M32)
+        return f"{self.val(x)} & {_M32}"
+
+    def set(self, dest: int, expr: str) -> None:
+        self.lines.append(f"r{dest} = regs[{dest}] = {expr}")
+        self.cached.add(dest)
+
+    def charge(self) -> None:
+        if self.pending:
+            self.lines.append(
+                f"counters.instructions += {self.pending}")
+            self.pending = 0
+
+    def bounds_copy(self, a: int, dest: int) -> None:
+        if self.ctx.track_bounds and a >= 0:
+            self.uses_bounds = True
+            self.lines.append(
+                f"if bnd is not None and {a} in bnd: bnd[{dest}] = bnd[{a}]")
+
+    # -- instructions -----------------------------------------------------
+    def emit(self, ins, i: int) -> Optional[str]:
+        """Emit instruction ``i``; returns the exit statement if it ends
+        the block."""
+        op = ins.op
+        if op in _TERM_OPS:
+            self.pending += 1
+            self.charge()
+            self.lines.append("counters.branches += 1")
+            if op == ops.JMP:
+                return f"return {ins.t1}"
+            if ins.a < 0:
+                taken = self.ctx.consts[-ins.a - 1]
+                return f"return {ins.t1 if taken else ins.t2}"
+            return f"return {ins.t1} if {self.reg(ins.a)} else {ins.t2}"
+        if op == ops.NOP:
+            self.pending += 1
+            return None
+        if op not in _INLINE_OPS or op != ops.STORE and ins.dest is None:
+            self.charge()
+            self.lines.append(
+                f"{self.bind(f'p{i}', self.plain[i])}(frame, regs, thread)")
+            self.cached.clear()
+            return None
+        dest = ins.dest
+        mem = self.ctx.mem
+        if op in _BIN:
+            template = _BIN_SRC.get(op)
+            self.pending += 1
+            if template is None:         # div/rem/fdiv: trap semantics
+                self.charge()
+                fn2 = self.bind(f"f{op}", _BIN[op])
+                self.set(dest, f"{fn2}({self.val(ins.a)}, {self.val(ins.b)})")
+                return None
+            fields = {"a": self.val(ins.a), "b": self.val(ins.b)}
+            if "{s" in template:
+                fields["sa"] = self.sval(ins.a)
+                fields["sb"] = self.sval(ins.b)
+            self.set(dest, template.format(**fields))
+        elif op == ops.LOAD:
+            self.pending += 1
+            self.charge()
+            address = self.addr(ins.a)
+            size = ins.size
+            if ins.is_float:
+                rd = self.bind("rdf", mem.reader_f64())
+                self.set(dest, f"{rd}({address})")
+            elif ins.signed and size < 8:
+                rd = self.bind(f"rd{size}", mem.reader(size))
+                sign = 1 << (size * 8 - 1)
+                self.lines.append(f"t = {rd}({address})")
+                self.set(dest, f"(t - {sign << 1}) & {_M64} "
+                               f"if t & {sign} else t")
+            else:
+                rd = self.bind(f"rd{size}", mem.reader(size))
+                self.set(dest, f"{rd}({address})")
+        elif op == ops.STORE:
+            self.pending += 1
+            self.charge()
+            address = self.addr(ins.a)
+            if ins.is_float:
+                wr = self.bind("wrf", mem.writer_f64())
+            else:
+                wr = self.bind(f"wr{ins.size}", mem.writer(ins.size))
+            self.lines.append(f"{wr}({address}, {self.val(ins.b)})")
+        elif op == ops.GEP:
+            self.pending += 2 if ins.clamp else 1
+            base = self.val(ins.a)
+            value = base if ins.b is None else \
+                f"{base} + {self.val(ins.b)} * {ins.size!r}"
+            if ins.c:
+                value += f" + ({ins.c!r})"
+            if ins.clamp:
+                self.set(dest, f"({base} & {_HI32}) | (({value}) & {_M32})")
+            else:
+                self.set(dest, f"({value}) & {_M64}")
+            self.bounds_copy(ins.a, dest)
+        elif op == ops.MOV:
+            self.pending += 1
+            self.set(dest, self.val(ins.a))
+            self.bounds_copy(ins.a, dest)
+        elif op == ops.SELECT:
+            self.pending += 1
+            self.set(dest, f"{self.val(ins.b)} if {self.val(ins.a)} "
+                           f"else {self.val(ins.c)}")
+        elif op == ops.ALLOCA:
+            self.pending += 1
+            self.set(dest, f"frame.base + ({ins.c!r})")
+        elif op == ops.TRUNC:
+            self.pending += 1
+            self.set(dest, f"{self.val(ins.a)} & {(1 << (ins.size * 8)) - 1}")
+        elif op == ops.SEXT:
+            self.pending += 1
+            bits = ins.size * 8
+            self.lines.append(f"t = {self.val(ins.a)} & {(1 << bits) - 1}")
+            self.set(dest, f"(t - {1 << bits}) & {_M64} "
+                           f"if t & {1 << (bits - 1)} else t")
+        elif op == ops.SITOFP:
+            self.pending += 1
+            self.charge()
+            self.set(dest, f"float({self.sval(ins.a)})")
+        elif op == ops.FPTOSI:
+            self.pending += 1
+            self.charge()
+            self.set(dest, f"int({self.val(ins.a)}) & {_M64}")
+        else:   # FNEG
+            self.pending += 1
+            self.set(dest, f"-{self.val(ins.a)}")
+        return None
+
+    def source(self, code: list, head: int, end: int) -> str:
+        exit_line = None
+        for i in range(head, end):
+            exit_line = self.emit(code[i], i)
+        if exit_line is None:           # stopped before a non-block op
+            self.charge()
+            exit_line = f"return {end}"
+        body = self.lines + [exit_line]
+        if self.uses_bounds:
+            body.insert(0, "bnd = frame.bounds")
+        if self.ctx.stats is not None:
+            self.bind("stats", self.ctx.stats)
+            body.insert(0, 'stats["block"] += 1')
+        return "".join((
+            f"def make({', '.join(self.binds)}):\n",
+            "    def block(frame, regs, thread):\n",
+            *(f"        {line}\n" for line in body),
+            "    return block\n"))

@@ -580,8 +580,9 @@ class VM:
         Predecoded handler dispatch (see ``repro.vm.fastpath``): one
         telemetry segment per frame activation, ``frame.pc`` written back
         only when the frame didn't yield, an up-front instruction budget.
-        The inner loop runs fused superinstructions while the remaining
-        quantum can absorb the longest one, then finishes the slice on
+        The inner loop runs ``handlers[pc]`` — a superinstruction or a
+        compiled block of ``costs[pc]`` instructions — only while that
+        cost fits in the remaining quantum, then finishes the slice on
         plain handlers, so thread switches land on exact instruction
         boundaries.
         """
@@ -608,9 +609,12 @@ class VM:
             switch = False
             if telem is not None:
                 seg_snap = telem.functions.begin(counters)
-            while quantum >= 3:     # fastpath.FUSE_MAX
+            while True:
+                cost = costs[pc]
+                if cost > quantum:
+                    break
                 npc = handlers[pc](frame, regs, thread)
-                quantum -= costs[pc]
+                quantum -= cost
                 if npc >= 0:
                     pc = npc
                 else:

@@ -304,6 +304,11 @@ def test_fleet_report_ignores_shared_sink(tmp_path):
     "fleet --fault-rate -0.1",
     "chaos --fault-rate nan",
     "fleet --rewarm-scales 0",
+    # A value flag no selected run reads.
+    "chaos --workers 3",
+    "observe --fault-rate 0.5",
+    "redteam --rewarm-scales 2",
+    "fig7 --workers 2",
 ])
 def test_usage_errors(command, tmp_path):
     """Bad flags and values end in an argparse usage error (exit 2)

@@ -1,38 +1,45 @@
-"""Edge-path coverage for superinstruction fusion.
+"""Edge-path coverage for superinstruction fusion and compiled blocks.
 
 The committed expectations (test_vm_differential.py) pin behaviour in
-bulk; this file diffs fused dispatch against plain, one-handler-per-
-instruction dispatch (the ``unfused`` fixture) at the places where
-fusion could plausibly diverge:
+bulk; this file diffs fused dispatch and compiled blocks against plain,
+one-handler-per-instruction dispatch (the ``unfused`` fixture) at the
+places where they could plausibly diverge:
 
 * atomics (ATOMICRMW/CMPXCHG) on scheme-tagged pointers — the handler
   must strip tags with ``& M32``;
-* traps raised *inside* fused handlers (division by zero mid-chain,
-  bounds violations inside gep+load fusion) — counters at the moment of
-  the exception must match plain dispatch instruction for instruction;
+* traps raised *inside* a compiled block or a fused handler (division
+  by zero, a faulting load, bounds violations) — counters and registers
+  at the moment of the exception must match plain dispatch instruction
+  for instruction;
 * blocking natives (mutex_lock/join returning BLOCK_RETRY) resuming at
   a call that sits mid-basic-block, across tiny scheduler quanta that
   force the unfused tail loop;
+* slice boundaries: a block is entered only when it fits in the
+  remaining quantum, so racy thread interleavings match plain dispatch;
+* MPX bounds propagating through GEP/MOV inside a compiled block;
 * hoisted preheader checks (passes/loop_hoist.py) interacting with
   bnd/gep fusion;
 * the per-function code cache: reuse while identity holds, re-predecode
-  when ``fn.code`` is replaced, and fusion-site accounting.
+  when ``fn.code`` is replaced, fusion-site accounting, lazy block
+  compilation, and compiled blocks surviving a fleet worker's restarts.
 """
 
 from __future__ import annotations
 
+import collections
 import contextlib
 
 import pytest
 
 from repro.core import SGXBoundsScheme
-from repro.errors import BoundsViolation, TrapError
+from repro.errors import BoundsViolation, SegmentationFault, TrapError
 from repro.ir import Function, IRBuilder, Module
 from repro.mpx import MPXScheme
-from repro.vm import VM
+from repro.vm import VM, fastpath
 from repro.vm.fastpath import FUSE_MAX, compile_function
 
-from tests.util import build, run_c, unfused  # noqa: F401  (fixture)
+from tests.util import (build, eager_blocks, run_c,  # noqa: F401  (fixtures)
+                        unfused)
 
 
 def _counters(vm):
@@ -107,27 +114,87 @@ def test_atomics_identity(scheme_cls, unfused):
 # Traps inside fused handlers
 # ---------------------------------------------------------------------------
 
-def test_divide_by_zero_mid_chain(unfused):
-    """The LOAD feeding the DIV and the DIV itself sit in one fused
-    chain; the trap must surface with the counters of plain dispatch."""
-    src = """
-    int z;
+def _crash_state(src, exc, scope, make_scheme=lambda: None):
+    """Run ``src`` until it raises ``exc``; return the exception context,
+    the counters and the registers of every frame at that moment."""
+    scheme = make_scheme()
+    module = build(src, scheme)
+    with scope:
+        vm = VM(scheme=scheme)
+        vm.load(module)
+        with pytest.raises(exc) as err:
+            vm.run("main", ())
+    frames = [(f.fn.name, f.pc, list(f.regs),
+               dict(f.bounds) if f.bounds is not None else None)
+              for t in vm.threads for f in t.frames]
+    context = err.value.context() if hasattr(err.value, "context") \
+        else str(err.value)
+    return context, _counters(vm), frames
+
+
+def _crash_matches_plain(src, exc, unfused, eager_blocks,
+                         make_scheme=lambda: None):
+    plain = _crash_state(src, exc, unfused(), make_scheme)
+    assert _crash_state(src, exc, eager_blocks(), make_scheme) == plain
+    assert _crash_state(src, exc, contextlib.nullcontext(),
+                        make_scheme) == plain
+
+
+def test_divide_by_zero_mid_block(unfused, eager_blocks):
+    """The third loop iteration divides by zero inside the loop body's
+    compiled block (compiled on the first entry, run from the second);
+    the trap must surface with the counters and registers of plain
+    dispatch."""
+    _crash_matches_plain("""
+    int z[4];
     int main() {
-        int a = 3;
-        int b = a + 4;
-        return b / z;      // z == 0 at runtime, never constant-folded
+        int s = 0;
+        z[0] = 1; z[1] = 2; z[2] = 0; z[3] = 4;
+        for (int i = 0; i < 4; i++) {
+            int a = i + 3;
+            int b = a * 7;
+            s = s + b / z[i];
+        }
+        return s;
     }
-    """
-    refs = {}
-    for fused, scope in _both(unfused):
-        module = build(src)
-        with scope:
-            vm = VM()
-            vm.load(module)
-            with pytest.raises(TrapError):
-                vm.run("main", ())
-        refs[fused] = _counters(vm)
-    assert refs[True] == refs[False]
+    """, TrapError, unfused, eager_blocks)
+
+
+def test_faulting_load_mid_block(unfused, eager_blocks):
+    """A load that faults inside a compiled block, after arithmetic whose
+    instruction counts are still pending in the block."""
+    _crash_matches_plain("""
+    int idx[4];
+    int main() {
+        int *p = (int*)malloc(64);
+        int s = 0;
+        idx[0] = 0; idx[1] = 1; idx[2] = 2; idx[3] = 100000000;
+        for (int i = 0; i < 4; i++) {
+            int a = i * 5;
+            int b = a + 9;
+            s = s + b + p[idx[i]];
+        }
+        return s;
+    }
+    """, SegmentationFault, unfused, eager_blocks)
+
+
+def test_mpx_bounds_propagate_inside_block(unfused, eager_blocks):
+    """``q = p + i; r = q`` copies p's bounds through a GEP and a MOV in
+    the loop body's compiled block; the BNDCU on ``r`` must then catch
+    the overflow at i == 8, exactly as plain dispatch does."""
+    _crash_matches_plain("""
+    int main() {
+        int *p = (int*)malloc(8 * sizeof(int));
+        int s = 0;
+        for (int i = 0; i < 12; i++) {
+            int *q = p + i;
+            int *r = q;
+            s = s + *r;
+        }
+        return s;
+    }
+    """, BoundsViolation, unfused, eager_blocks, make_scheme=MPXScheme)
 
 
 def test_violation_inside_gep_load_fusion(unfused):
@@ -191,6 +258,114 @@ def test_tail_loop_matches_reference_under_scheme(unfused):
               quantum=2)
 
 
+#: Three threads race on ``pos`` without a lock, so the log they leave
+#: (and the exit value hashing it) records exactly where every slice
+#: ended.  The loop body is one long basic block.
+_RACE_SRC = """
+int log[512];
+int pos;
+int worker(int tid) {
+    for (int i = 0; i < 40; i++) {
+        int k = pos;
+        int a = k * 3 + tid;
+        int b = a ^ (k << 2);
+        log[k & 511] = tid * 1000 + (b & 255);
+        pos = k + 1;
+    }
+    return 0;
+}
+int main() {
+    int a = spawn(worker, 1);
+    int b = spawn(worker, 2);
+    worker(3);
+    join(a);
+    join(b);
+    int h = 0;
+    for (int i = 0; i < 512; i++) h = (h * 31 + log[i]) & 16777215;
+    return h;
+}
+"""
+
+
+@pytest.mark.parametrize("quantum", [3, 7, 64])
+def test_block_interleavings_match_plain(quantum, unfused, eager_blocks):
+    with eager_blocks():
+        _run_pair(unfused, _RACE_SRC, quantum=quantum)
+    _run_pair(unfused, _RACE_SRC, quantum=quantum)
+
+
+def test_block_longer_than_quantum_not_entered(eager_blocks, monkeypatch):
+    """With quantum 3, only blocks of at most 3 instructions may run;
+    every longer one is compiled but the slice finishes on plain
+    handlers instead."""
+    entered, compiled = [], []
+    install = fastpath._install_block
+
+    def spying_install(fc, head, ctx):
+        install(fc, head, ctx)
+        block, cost = fc.handlers[head], fc.costs[head]
+        compiled.append(cost)
+
+        def counted(frame, regs, thread):
+            entered.append(cost)
+            return block(frame, regs, thread)
+        fc.handlers[head] = counted
+
+    monkeypatch.setattr(fastpath, "_install_block", spying_install)
+    with eager_blocks():
+        run_c(_RACE_SRC, quantum=3)
+    assert max(compiled) > 3, "no block longer than the quantum"
+    assert entered and max(entered) <= 3
+
+
+# ---------------------------------------------------------------------------
+# Lazy compilation
+# ---------------------------------------------------------------------------
+
+def _spy_compile(monkeypatch):
+    """Record the filename of every code object ``fastpath`` compiles."""
+    names = []
+
+    def spy(source, filename, mode):
+        names.append(filename)
+        return compile(source, filename, mode)
+    monkeypatch.setattr(fastpath, "compile", spy, raising=False)
+    return names
+
+
+def test_predecode_compiles_nothing(eager_blocks, monkeypatch):
+    names = _spy_compile(monkeypatch)
+    with eager_blocks():
+        module = build(_RACE_SRC)
+        vm = VM()
+        program = vm.load(module)
+        for fn in module.functions.values():
+            program.fast_for(fn, vm)
+        assert names == []
+        vm.run("main", ())
+    assert names and all(name.startswith("<block ") for name in names)
+
+
+def test_worker_compiles_each_block_once(eager_blocks, monkeypatch):
+    """Compiled blocks live in the worker's predecoded code, so three
+    crash/boot cycles compile no block twice."""
+    from repro.harness.experiments import APP_CONFIG
+    from repro.fleet.worker import EnclaveWorker
+    from repro.workloads.apps import memcached
+    from tests.test_fleet import _memcached_module, _serve
+
+    names = _spy_compile(monkeypatch)
+    with eager_blocks():
+        worker = EnclaveWorker(0, _memcached_module(), "sgxbounds",
+                               policy="abort", config=APP_CONFIG)
+        for _ in range(3):
+            _, crash = _serve(worker, 0, memcached.cve_2011_4971_request())
+            assert crash == "BoundsViolation"
+            worker.boot()
+    assert names, "no block was compiled"
+    assert collections.Counter(names).most_common(1)[0][1] == 1
+
+
 # ---------------------------------------------------------------------------
 # Hoisted preheader checks under fusion
 # ---------------------------------------------------------------------------
@@ -249,10 +424,11 @@ def test_fusion_sites_recorded():
     fc = compile_function(vm, fn, fn.consts)
     assert sum(fc.fusion_sites.values()) > 0
     assert fc.fusion_sites.get("cmp_br", 0) > 0      # loop back-edges
-    # Fused sites really carry their advertised cost, and no site ever
-    # exceeds the dispatch loop's quantum guard.
+    # Fused sites really carry their advertised cost; blocks are only
+    # counted at predecode, so no cost exceeds the longest pair yet.
     assert any(c > 1 for c in fc.costs)
     assert max(fc.costs) <= FUSE_MAX
+    assert fc.fusion_sites.get("block", 0) > 0
 
 
 def test_calls_never_fused():

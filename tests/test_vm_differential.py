@@ -16,9 +16,11 @@ that now run.  Three granularities:
 3. a seeded fuzz corpus (``tests/genprog.py``): 200 programs per seed
    natively, and a sample under SGXBounds.
 
-The matrix and the SGXBounds sample also run unfused (the ``unfused``
-fixture), which checks superinstructions and chains against the plain
-handlers they are built from.
+Every cell runs twice: with blocks compiled once they turn hot (the
+default), and with every block compiled on its first entry (the
+``eager_blocks`` fixture).  The matrix and the SGXBounds sample also run
+unfused (the ``unfused`` fixture), which checks superinstructions and
+compiled blocks against the plain handlers they are built from.
 
 Regenerate only for an intentional change to simulated behaviour::
 
@@ -27,6 +29,7 @@ Regenerate only for an intentional change to simulated behaviour::
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import json
@@ -41,7 +44,7 @@ from repro.workloads import all_workloads, get
 from repro.workloads.apps import apache, memcached
 
 from tests.genprog import corpus
-from tests.util import run_c, unfused  # noqa: F401  (fixture)
+from tests.util import eager_blocks, run_c, unfused  # noqa: F401  (fixtures)
 
 GOLDEN = Path(__file__).parent / "goldens" / "reference_runs.json"
 
@@ -120,6 +123,12 @@ def _expected() -> dict:
     return json.loads(GOLDEN.read_text())
 
 
+def _tiers(eager_blocks):
+    """The default block threshold, then every block compiled on its
+    first entry."""
+    return contextlib.nullcontext(), eager_blocks()
+
+
 def _check(section, label, record) -> None:
     assert record == _expected()[section][label], \
         f"{label} drifted from {GOLDEN.name}"
@@ -141,20 +150,25 @@ def _check_digests(label, digests) -> None:
 
 @pytest.mark.parametrize("name",
                          [w.name for w in all_workloads()])
-def test_workload_identity_native(name):
-    _check("workloads", f"{name}/native", _workload_cell(get(name), "native"))
+def test_workload_identity_native(name, eager_blocks):
+    for tier in _tiers(eager_blocks):
+        with tier:
+            _check("workloads", f"{name}/native",
+                   _workload_cell(get(name), "native"))
 
 
-def test_workload_identity_all_schemes():
+def test_workload_identity_all_schemes(eager_blocks):
     """Full workload x protected-scheme sweep in one pass (XS).
 
     One test rather than 116 parametrized cells: each cell is cheap and
     a drift report names the exact cell anyway.
     """
-    for workload in all_workloads():
-        for scheme in PROTECTED_SCHEMES:
-            _check("workloads", f"{workload.name}/{scheme}",
-                   _workload_cell(workload, scheme))
+    for tier in _tiers(eager_blocks):
+        with tier:
+            for workload in all_workloads():
+                for scheme in PROTECTED_SCHEMES:
+                    _check("workloads", f"{workload.name}/{scheme}",
+                           _workload_cell(workload, scheme))
 
 
 # ---------------------------------------------------------------------------
@@ -163,21 +177,26 @@ def test_workload_identity_all_schemes():
 
 @pytest.mark.parametrize("scheme", PROTECTED_SCHEMES)
 @pytest.mark.parametrize("pol", policy.ALL_POLICIES)
-def test_scheme_policy_matrix(scheme, pol, unfused):
+def test_scheme_policy_matrix(scheme, pol, eager_blocks, unfused):
     # The flight recorder's JSONL covers event order, timestamps
     # (instruction counts) and every detail field; postmortems cover
     # stack capture at the violation site.
     label = f"memcached/{scheme}/{pol}"
-    _check("servers", label, _memcached_cell(scheme, pol))
+    for tier in _tiers(eager_blocks):
+        with tier:
+            _check("servers", label, _memcached_cell(scheme, pol))
     with unfused():
         _check("servers", label, _memcached_cell(scheme, pol))
 
 
-def test_apache_heartbleed_identity():
+def test_apache_heartbleed_identity(eager_blocks):
     """Second server app, different overflow shape (Heartbleed-style
     over-read followed by a legitimate request)."""
-    for pol in HEARTBLEED_POLICIES:
-        _check("servers", f"apache/sgxbounds/{pol}", _heartbleed_cell(pol))
+    for tier in _tiers(eager_blocks):
+        with tier:
+            for pol in HEARTBLEED_POLICIES:
+                _check("servers", f"apache/sgxbounds/{pol}",
+                       _heartbleed_cell(pol))
 
 
 # ---------------------------------------------------------------------------
@@ -185,18 +204,22 @@ def test_apache_heartbleed_identity():
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("seed", FUZZ_SEEDS)
-def test_fuzz_identity(seed):
+def test_fuzz_identity(seed, eager_blocks):
     """>= 200 seeded random programs per seed, one digest each."""
-    _check_digests(str(seed), [_program_digest(source)
-                               for source in corpus(seed, FUZZ_COUNT)])
+    for tier in _tiers(eager_blocks):
+        with tier:
+            _check_digests(str(seed), [_program_digest(source) for source
+                                       in corpus(seed, FUZZ_COUNT)])
 
 
-def test_fuzz_identity_under_sgxbounds(unfused):
-    """Sample of the corpus under instrumentation: exercises fusion on
-    tagged-pointer GEPs and the clamped-access paths the native runs
-    never reach, fused and unfused."""
+def test_fuzz_identity_under_sgxbounds(eager_blocks, unfused):
+    """Sample of the corpus under instrumentation: exercises fusion and
+    blocks on tagged-pointer GEPs and the clamped-access paths the
+    native runs never reach, fused and unfused."""
     label = "sgxbounds/{}x{}".format(*SGXBOUNDS_FUZZ)
-    _check_digests(label, _sgxbounds_digests())
+    for tier in _tiers(eager_blocks):
+        with tier:
+            _check_digests(label, _sgxbounds_digests())
     with unfused():
         _check_digests(label, _sgxbounds_digests())
 

@@ -43,9 +43,9 @@ def run_c(source: str, scheme: Optional[SchemeRuntime] = None,
 @pytest.fixture
 def unfused(monkeypatch):
     """``with unfused(): ...`` runs every VM on plain handlers only: one
-    dispatch per instruction, no superinstructions and no chains, so a
-    test can diff fused dispatch against the single definition of each
-    opcode it is built from."""
+    dispatch per instruction, no superinstructions and no compiled
+    blocks, so a test can diff fused dispatch against the single
+    definition of each opcode it is built from."""
     compile_function = fastpath.compile_function
 
     def plain_only(vm, fn, consts):
@@ -57,5 +57,18 @@ def unfused(monkeypatch):
     def scope():
         with monkeypatch.context() as patch:
             patch.setattr(fastpath, "compile_function", plain_only)
+            yield
+    return scope
+
+
+@pytest.fixture
+def eager_blocks(monkeypatch):
+    """``with eager_blocks(): ...`` compiles every block on the first
+    entry into its head instead of once it turns hot, so nearly all
+    straight-line code a test runs goes through compiled blocks."""
+    @contextlib.contextmanager
+    def scope():
+        with monkeypatch.context() as patch:
+            patch.setattr(fastpath, "BLOCK_THRESHOLD", 1)
             yield
     return scope

@@ -134,14 +134,6 @@ class WatchdogTimeout(ReproError):
             f"(budget {budget})")
 
 
-class EnclaveCrash(ReproError):
-    """The shielded application terminated abnormally (fail-stop semantics)."""
-
-    def __init__(self, cause: Exception):
-        self.cause = cause
-        super().__init__(f"enclave crashed: {cause}")
-
-
 class VMError(ReproError):
     """Ill-formed program reached the interpreter (verifier should prevent)."""
 

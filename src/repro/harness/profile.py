@@ -136,27 +136,19 @@ def profile_experiment(target: str, size: str = "XS",
                 f"Boundless leakage: {workload.name} (size {size}) — "
                 f"oblivious reads past object bounds",
                 ["scheme", "oblivious_reads", "leaked_bytes"], leak_rows))
-        # Superinstruction hits per scheme.  Only kinds that fired are
-        # published as vm.fastpath.* counters, so a scheme whose run
-        # fused nothing gets no row rather than a row of zeros.
-        fusion_rows = []
+        # Compiled-block entries per scheme.  A zero count is not
+        # published as vm.fastpath.block, so a scheme whose run entered
+        # no compiled block gets no row rather than a row of zeros.
+        block_rows = []
         for scheme in schemes:
-            registry = runs[scheme]["registry"]
-            hits = {key[len("vm.fastpath."):]: series.get("value", 0)
-                    for key, series in registry.items()
-                    if key.startswith("vm.fastpath.")}
-            if sum(hits.values()):
-                fusion_rows.append([
-                    scheme, sum(hits.values()),
-                    hits.get("gep_load", 0), hits.get("gep_store", 0),
-                    hits.get("cmp_br", 0), hits.get("bnd_access", 0),
-                    hits.get("block", 0)])
-        if fusion_rows:
+            entries = runs[scheme]["registry"].get(
+                "vm.fastpath.block", {}).get("value", 0)
+            if entries:
+                block_rows.append([scheme, entries])
+        if block_rows:
             chunks.append(report.series_table(
-                f"Fast-path fusion: {workload.name} (size {size}) — "
-                f"superinstruction dispatches",
-                ["scheme", "total", "gep_load", "gep_store", "cmp_br",
-                 "bnd_access", "block"], fusion_rows))
+                f"Compiled blocks: {workload.name} (size {size}) — "
+                f"block entries", ["scheme", "block"], block_rows))
     # One exemplar flame table: the baseline profile of the last workload.
     flame = flame_rows(profiles[baseline], cost, enclave, limit=flame_limit)
     chunks.append(report.series_table(

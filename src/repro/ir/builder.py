@@ -80,12 +80,6 @@ class IRBuilder:
     def mul(self, a, b, dest=None):
         return self.binop(ops.MUL, a, b, dest)
 
-    def and_(self, a, b, dest=None):
-        return self.binop(ops.AND, a, b, dest)
-
-    def or_(self, a, b, dest=None):
-        return self.binop(ops.OR, a, b, dest)
-
     def shl(self, a, b, dest=None):
         return self.binop(ops.SHL, a, b, dest)
 

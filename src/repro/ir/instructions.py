@@ -62,8 +62,6 @@ INT_BINOPS = frozenset({ADD, SUB, MUL, SDIV, UDIV, SREM, UREM,
 FLOAT_BINOPS = frozenset({FADD, FSUB, FMUL, FDIV})
 INT_CMPS = frozenset({EQ, NE, SLT, SLE, SGT, SGE, ULT, ULE, UGT, UGE})
 FLOAT_CMPS = frozenset({FEQ, FNE, FLT, FLE, FGT, FGE})
-#: All comparisons — the predecoder's CMP+BR superinstruction heads.
-CMP_OPS = INT_CMPS | FLOAT_CMPS
 TERMINATORS = frozenset({RET, BR, JMP, TRAP})
 
 

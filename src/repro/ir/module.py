@@ -15,7 +15,6 @@ from repro.ir.instructions import (
     Instr,
     BR,
     JMP,
-    OP_NAMES,
 )
 from repro.memory.layout import align_up
 
@@ -92,8 +91,8 @@ class Function:
         self.frame_size = 0
         self.block_index: Dict[str, int] = {}
         # Predecode metadata: indices that start a basic block, i.e. the
-        # only code positions a branch may land on.  The predecoder's
-        # superinstruction fuser refuses to swallow these as pair tails.
+        # only code positions a branch may land on.  The predecoder ends
+        # every compiled block's region before the next of these.
         self.block_starts: frozenset = frozenset()
         self.finalized = False
 
@@ -244,7 +243,3 @@ class Module:
     def __repr__(self) -> str:
         return (f"Module({self.name!r}, {len(self.functions)} fns, "
                 f"{len(self.globals)} globals)")
-
-
-def opcode_name(op: int) -> str:
-    return OP_NAMES.get(op, f"op{op}")

@@ -202,9 +202,6 @@ class FreeListAllocator:
     def is_live(self, addr: int) -> bool:
         return addr in self._live
 
-    def live_bytes(self) -> int:
-        return sum(self._live.values())
-
     def heap_bytes(self) -> int:
         """Bytes of heap address space consumed so far (brk high-water)."""
         return self._mapped_end - self._base

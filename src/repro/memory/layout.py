@@ -62,16 +62,6 @@ DEFAULT_STACK_SIZE = 256 * 1024
 GUARD_PAGE_BASE = 0xFFFF_F000
 
 
-def page_index(address: int) -> int:
-    """Index of the page containing ``address``."""
-    return address >> PAGE_SHIFT
-
-
-def page_base(address: int) -> int:
-    """Base address of the page containing ``address``."""
-    return address & ~PAGE_MASK
-
-
 def page_align_up(value: int) -> int:
     """Round ``value`` up to the next page boundary."""
     return (value + PAGE_MASK) & ~PAGE_MASK

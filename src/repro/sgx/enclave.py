@@ -78,9 +78,6 @@ class EnclaveConfig:
         """The same machine without EPC/MEE constraints (Fig. 12)."""
         return replace(self, enclave=False)
 
-    def with_epc(self, epc_bytes: int) -> "EnclaveConfig":
-        return replace(self, epc_bytes=epc_bytes)
-
 
 class Enclave:
     """One shielded execution environment."""

@@ -54,11 +54,6 @@ class Telemetry:
         """Name the current run's process lane in the trace."""
         self.tracer.label_process(name)
 
-    def fresh_functions(self) -> FunctionProfile:
-        """Swap in an empty per-function profile (per-run attribution)."""
-        self.functions = FunctionProfile()
-        return self.functions
-
     # -- VM hooks --------------------------------------------------------
     def function_enter(self, name: str, tid: int, ts: int) -> None:
         self.functions.enter(name)
@@ -108,10 +103,10 @@ class Telemetry:
             self.registry.gauge(f"{prefix}.{name}").set(value)
 
     def fastpath_hits(self, stats: Dict[str, int]) -> None:
-        """Publish the VM's dynamic superinstruction hit counts as the
-        ``vm.fastpath.<kind>`` counter family.  Zero-hit kinds are not
-        published, so a run that fused nothing leaves the registry
-        without fastpath entries."""
+        """Publish the VM's compiled-block entry count as the
+        ``vm.fastpath.block`` counter.  A zero count is not published, so
+        a run that entered no compiled block leaves the registry without
+        fastpath entries."""
         for kind, hits in stats.items():
             if hits:
                 self.registry.counter(f"vm.fastpath.{kind}").inc(hits)

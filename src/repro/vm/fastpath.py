@@ -1,15 +1,12 @@
 """Predecoded handler dispatch — the interpreter.
 
 :func:`compile_function` turns one finalized IR function into a flat list
-of *bound handler closures*, in three tiers:
+of *bound handler closures*, in two tiers:
 
 1. *plain* handlers, one per instruction: operands are resolved once
    (register index vs constant-pool value) and per-op behaviour comes
    from a registry of closure makers;
-2. *pair fusion*: the hottest instruction pairs observed in profiles are
-   fused into superinstructions — GEP+LOAD, GEP+STORE, CMP+BR and MPX's
-   BNDCL+BNDCU+access triple;
-3. *compiled blocks*: once a basic block has been entered
+2. *compiled blocks*: once a basic block has been entered
    ``BLOCK_THRESHOLD`` times, its straight-line region becomes one
    generated Python function (see "Compiled blocks" below).
 
@@ -18,9 +15,9 @@ and cost.  What they must produce is pinned by the committed expectations
 in ``tests/goldens/reference_runs.json`` (``tests/test_vm_differential.py``):
 stdout, :class:`~repro.sgx.counters.PerfCounters`, violations and
 forensics records for every workload x scheme cell, a server scheme x
-policy matrix and a generated-program corpus.  Fused handlers and blocks
-must be indistinguishable from plain dispatch — identical counters at
-every observable point (native calls, traced memory accesses, violations,
+policy matrix and a generated-program corpus.  Compiled blocks must be
+indistinguishable from plain dispatch — identical counters at every
+observable point (native calls, traced memory accesses, violations,
 exceptions) and identical thread interleavings.  The rules that make this
 hold:
 
@@ -34,16 +31,15 @@ hold:
   thread switches land on the same instruction boundaries as
   one-instruction dispatch;
 * every code index keeps a valid standalone handler — branches, request
-  checkpoints and ``BLOCK_RETRY`` resumes may land *inside* a fused
-  region or block, in which case the tail instructions simply execute
-  on their own handlers.
+  checkpoints and ``BLOCK_RETRY`` resumes may land *inside* a block, in
+  which case the tail instructions simply execute on their own handlers.
 
 Handler calling convention: ``handler(frame, regs, thread) -> next_pc``,
 where a negative result means "yield to the outer loop" (call, return,
-block, thread exit) with ``frame.pc`` already stored.  Fused handlers and
-blocks occupy the *first* index of their region in ``FastCode.handlers``
-with their length recorded in ``FastCode.costs``; ``FastCode.plain`` holds
-the plain handler for every index.
+block, thread exit) with ``frame.pc`` already stored.  A compiled block
+occupies the *first* index of its region in ``FastCode.handlers`` with
+its length recorded in ``FastCode.costs``; ``FastCode.plain`` holds the
+plain handler for every index.
 """
 
 from __future__ import annotations
@@ -53,7 +49,6 @@ from typing import Callable, Dict, List, Optional
 
 from repro.errors import BoundsViolation, SegmentationFault, TrapError, VMError
 from repro.ir import instructions as ops
-from repro.ir.instructions import CMP_OPS
 from repro.memory.layout import ADDRESS_MASK, PAGE_MASK, PAGE_SHIFT, PAGE_SIZE
 from repro.sgx.cache import LINE_SHIFT, LINE_SIZE
 from repro.vm.machine import (
@@ -73,28 +68,22 @@ _UINT = {1: struct.Struct("<B"), 2: struct.Struct("<H"),
 _F64 = struct.Struct("<d")
 _LINE_MASK = LINE_SIZE - 1
 
-#: Longest superinstruction, in IR instructions (quantum units).
-FUSE_MAX = 3
-
 Handler = Callable[[object, list, object], int]
 
 
 class FastCode:
     """Predecoded form of one function, bound to one VM's runtime."""
 
-    __slots__ = ("handlers", "costs", "plain", "code", "fusion_sites")
+    __slots__ = ("handlers", "costs", "plain", "code")
 
     def __init__(self, handlers: List[Handler], costs: List[int],
-                 plain: List[Handler], code: list,
-                 fusion_sites: Dict[str, int]):
+                 plain: List[Handler], code: list):
         self.handlers = handlers
         self.costs = costs
         self.plain = plain
         #: The exact ``fn.code`` list this was compiled from; the loader's
         #: cache re-predecodes whenever a pass swaps the code list out.
         self.code = code
-        #: Static superinstruction sites by kind (fused at predecode).
-        self.fusion_sites = fusion_sites
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +297,8 @@ def _make_binop(ins, consts, npc, counters):
     op = ins.op
     dest, a, b = ins.dest, ins.a, ins.b
     # The hottest integer ops are inlined (no per-execution fn2 call);
-    # everything else goes through the _BIN lambdas, which CMP+BR fusion
-    # shares, keeping trap/NaN semantics in one place.
+    # everything else goes through the _BIN lambdas, which compiled
+    # blocks share, keeping trap/NaN semantics in one place.
     if a >= 0 and b >= 0:
         if op == ops.ADD:
             def h(frame, regs, thread):
@@ -940,175 +929,6 @@ def _make_ret(ins, consts, counters, vm, track_bounds, mem):
 
 
 # ---------------------------------------------------------------------------
-# Superinstructions.
-# ---------------------------------------------------------------------------
-
-def _fuse_gep_load(gep, load, consts, i, counters, mem, track_bounds,
-                   stats):
-    npc = i + 2
-    ga, gb, gc, gsize, clamp = gep.a, gep.b, gep.c, gep.size, gep.clamp
-    gdest = gep.dest
-    ldest, lsize = load.dest, load.size
-    # GEP's loop-top 1 (+1 clamped merge) plus LOAD's loop-top 1, all
-    # charged before the traced read — identical totals at the only
-    # observable point of the pair.
-    inc = 3 if clamp else 2
-    is_float = load.is_float
-    signed = load.signed and lsize < 8
-    sign = 1 << (lsize * 8 - 1)
-    wrap = sign << 1
-    read_f64 = mem.reader_f64() if is_float else None
-    read_uint = mem.reader(lsize) if not is_float else None
-    def h(frame, regs, thread):
-        counters.instructions += inc
-        base = regs[ga] if ga >= 0 else consts[-ga - 1]
-        if gb is None:
-            value = base + gc
-        else:
-            value = base + (regs[gb] if gb >= 0 else consts[-gb - 1]) \
-                * gsize + gc
-        if clamp:
-            value = (base & HI32) | (value & M32)
-        else:
-            value &= M64
-        regs[gdest] = value
-        if track_bounds:
-            bnd = frame.bounds
-            if bnd is not None and ga >= 0 and ga in bnd:
-                bnd[gdest] = bnd[ga]
-        if is_float:
-            regs[ldest] = read_f64(value & M32)
-        else:
-            loaded = read_uint(value & M32)
-            if signed and loaded & sign:
-                loaded = (loaded - wrap) & M64
-            regs[ldest] = loaded
-        if stats is not None:
-            stats["gep_load"] += 1
-        return npc
-    return h
-
-
-def _fuse_gep_store(gep, store, consts, i, counters, mem, track_bounds,
-                    stats):
-    npc = i + 2
-    ga, gb, gc, gsize, clamp = gep.a, gep.b, gep.c, gep.size, gep.clamp
-    gdest = gep.dest
-    sb, ssize = store.b, store.size
-    inc = 3 if clamp else 2
-    is_float = store.is_float
-    write_f64 = mem.writer_f64() if is_float else None
-    write_uint = mem.writer(ssize) if not is_float else None
-    def h(frame, regs, thread):
-        counters.instructions += inc
-        base = regs[ga] if ga >= 0 else consts[-ga - 1]
-        if gb is None:
-            value = base + gc
-        else:
-            value = base + (regs[gb] if gb >= 0 else consts[-gb - 1]) \
-                * gsize + gc
-        if clamp:
-            value = (base & HI32) | (value & M32)
-        else:
-            value &= M64
-        regs[gdest] = value
-        if track_bounds:
-            bnd = frame.bounds
-            if bnd is not None and ga >= 0 and ga in bnd:
-                bnd[gdest] = bnd[ga]
-        stored = regs[sb] if sb >= 0 else consts[-sb - 1]
-        if is_float:
-            write_f64(value & M32, stored)
-        else:
-            write_uint(value & M32, stored)
-        if stats is not None:
-            stats["gep_store"] += 1
-        return npc
-    return h
-
-
-def _fuse_cmp_br(cmp_ins, br, consts, counters, stats):
-    fn2 = _BIN[cmp_ins.op]
-    a, b, dest = cmp_ins.a, cmp_ins.b, cmp_ins.dest
-    t1, t2 = br.t1, br.t2
-    def h(frame, regs, thread):
-        counters.instructions += 2
-        counters.branches += 1
-        av = regs[a] if a >= 0 else consts[-a - 1]
-        bv = regs[b] if b >= 0 else consts[-b - 1]
-        cond = fn2(av, bv)
-        regs[dest] = cond
-        if stats is not None:
-            stats["cmp_br"] += 1
-        return t1 if cond else t2
-    return h
-
-
-def _fuse_bnd_access(cl, cu, access, consts, i, counters, mem, vm,
-                     stats):
-    """MPX's BNDCL + BNDCU + load/store triple (the paper's per-access
-    check sequence), with counter updates interleaved step by step so a
-    violation raised from either check carries the same timestamp as
-    under plain dispatch."""
-    npc = i + 3
-    pa, breg = cl.a, cl.dest
-    inc_cl = 2 + (cl.c or 0)
-    inc_cu = 2 + (cu.c or 0)
-    cu_size = cu.size
-    scheme = vm.scheme
-    is_store = access.op == ops.STORE
-    asize = access.size
-    is_float = access.is_float
-    signed = access.signed and asize < 8
-    sign = 1 << (asize * 8 - 1)
-    wrap = sign << 1
-    sb = access.b
-    adest = access.dest
-    read_f64 = mem.reader_f64() if is_float else None
-    write_f64 = mem.writer_f64() if is_float else None
-    read_uint = mem.reader(asize) if not is_float else None
-    write_uint = mem.writer(asize) if not is_float else None
-    def h(frame, regs, thread):
-        counters.instructions += inc_cl
-        counters.bounds_checks += 1
-        fb = frame.bounds
-        bnd = fb.get(breg) if fb is not None else None
-        if bnd is not None:
-            val = (regs[pa] if pa >= 0 else consts[-pa - 1]) & M32
-            if val < bnd[0]:
-                scheme.handle_violation(vm, BoundsViolation(
-                    "mpx", val, bnd[0], bnd[1], access="read",
-                    what="bndcl"))
-        counters.instructions += inc_cu
-        counters.bounds_checks += 1
-        if bnd is not None:
-            val = (regs[pa] if pa >= 0 else consts[-pa - 1]) & M32
-            if val + cu_size > bnd[1]:
-                scheme.handle_violation(vm, BoundsViolation(
-                    "mpx", val, bnd[0], bnd[1], size=cu_size,
-                    access="read", what="bndcu"))
-        counters.instructions += 1
-        addr = (regs[pa] if pa >= 0 else consts[-pa - 1]) & M32
-        if is_store:
-            stored = regs[sb] if sb >= 0 else consts[-sb - 1]
-            if is_float:
-                write_f64(addr, stored)
-            else:
-                write_uint(addr, stored)
-        elif is_float:
-            regs[adest] = read_f64(addr)
-        else:
-            loaded = read_uint(addr)
-            if signed and loaded & sign:
-                loaded = (loaded - wrap) & M64
-            regs[adest] = loaded
-        if stats is not None:
-            stats["bnd_access"] += 1
-        return npc
-    return h
-
-
-# ---------------------------------------------------------------------------
 # The predecoder.
 # ---------------------------------------------------------------------------
 
@@ -1189,70 +1009,19 @@ def compile_function(vm, fn, consts) -> FastCode:
     plain: List[Handler] = [
         _make_plain(code[i], consts, i, counters, vm, track_bounds, mem)
         for i in range(n)]
-    handlers = list(plain)
-    costs = [1] * n
-    sites: Dict[str, int] = {}
-
-    # Superinstruction fusion.  A fused region must be straight-line
-    # (no instruction after the head may be a jump target).  Only MPX
-    # emits BNDCL/BNDCU and tracks register bounds, so only MPX code
-    # gets ``bnd_access``.
-    starts = getattr(fn, "block_starts", None)
-    if starts is None:
-        starts = frozenset(fn.block_index.values())
-    # Fusion and block hits are only tallied when telemetry observes the
-    # run: the default path keeps the zero-cost-when-off contract.
+    starts = fn.block_starts
+    # Block hits are only tallied when telemetry observes the run: the
+    # default path keeps the zero-cost-when-off contract.
     stats = None
     if vm.telemetry is not None:
         stats = vm.fastpath_stats
-        for kind in ("gep_load", "gep_store", "cmp_br", "bnd_access",
-                     "block"):
-            stats.setdefault(kind, 0)
-    i = 0
-    while i < n - 1:
-        ins = code[i]
-        nxt = code[i + 1]
-        fused = None
-        kind = None
-        length = 2
-        if i + 1 not in starts:
-            if ins.op == ops.GEP and ins.dest is not None:
-                if nxt.op == ops.LOAD and nxt.a == ins.dest:
-                    fused = _fuse_gep_load(ins, nxt, consts, i, counters,
-                                           mem, track_bounds, stats)
-                    kind = "gep_load"
-                elif nxt.op == ops.STORE and nxt.a == ins.dest:
-                    fused = _fuse_gep_store(ins, nxt, consts, i, counters,
-                                            mem, track_bounds, stats)
-                    kind = "gep_store"
-            elif ins.op in CMP_OPS and nxt.op == ops.BR \
-                    and nxt.a == ins.dest and ins.dest is not None:
-                fused = _fuse_cmp_br(ins, nxt, consts, counters, stats)
-                kind = "cmp_br"
-            elif ins.op == ops.BNDCL and nxt.op == ops.BNDCU \
-                    and track_bounds \
-                    and i + 2 < n and i + 2 not in starts \
-                    and nxt.dest == ins.dest and nxt.a == ins.a:
-                access = code[i + 2]
-                if access.op in (ops.LOAD, ops.STORE) \
-                        and access.a == ins.a:
-                    fused = _fuse_bnd_access(ins, nxt, access, consts, i,
-                                             counters, mem, vm, stats)
-                    kind = "bnd_access"
-                    length = 3
-        if fused is not None:
-            handlers[i] = fused
-            costs[i] = length
-            sites[kind] = sites.get(kind, 0) + 1
-            i += length
-        else:
-            i += 1
+        stats.setdefault("block", 0)
 
     # Block heads: every basic-block start, and every instruction after
     # a CALL (returns resume there).  A head whose region spans at least
     # two instructions gets an entry-counting handler; the region is
     # compiled only once it turns hot.
-    fc = FastCode(handlers, costs, plain, code, sites)
+    fc = FastCode(list(plain), [1] * n, plain, code)
     ctx = _BlockContext(fn.name, consts, starts, counters, mem,
                         track_bounds, stats)
     heads = set(starts)
@@ -1261,8 +1030,7 @@ def compile_function(vm, fn, consts) -> FastCode:
         if head + 1 < n and head + 1 not in starts \
                 and code[head].op in _STRAIGHT_OPS \
                 and code[head + 1].op in _REGION_OPS:
-            handlers[head] = _block_entry(fc, head, ctx)
-            sites["block"] = sites.get("block", 0) + 1
+            fc.handlers[head] = _block_entry(fc, head, ctx)
     return fc
 
 
@@ -1357,7 +1125,7 @@ def _block_entry(fc: FastCode, head: int, ctx: _BlockContext) -> Handler:
     """Run the head's predecoded handler, counting entries; the
     BLOCK_THRESHOLD-th entry compiles the region, which replaces this
     handler from the next entry on."""
-    inner = fc.handlers[head]
+    inner = fc.plain[head]
     left = BLOCK_THRESHOLD
     def h(frame, regs, thread):
         nonlocal left

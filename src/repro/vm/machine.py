@@ -287,9 +287,9 @@ class VM:
         self.external_rids = False
         #: Fleet worker id this VM incarnates (set by EnclaveWorker).
         self.worker_id: Optional[int] = None
-        #: Dynamic superinstruction hit counts by fusion kind, tallied
+        #: Compiled-block entries under the one key ``block``, tallied
         #: only while telemetry observes the run (zero-cost-when-off);
-        #: published to the metrics registry as ``vm.fastpath.<kind>``.
+        #: published to the metrics registry as ``vm.fastpath.block``.
         self.fastpath_stats: Dict[str, int] = {}
         self.quantum = quantum
         self.max_instructions = max_instructions
@@ -360,7 +360,7 @@ class VM:
         self.scheme.restore(scheme)
         if rng is not None:
             self.rng.setstate(rng)
-        # Fused handlers index this dict by kind, so keys stay.
+        # Compiled blocks hold this dict, so it is reset in place.
         for kind in self.fastpath_stats:
             self.fastpath_stats[kind] = stats.get(kind, 0)
         for name in [name for name in vars(self)
@@ -560,12 +560,6 @@ class VM:
             net.fail_request(ckpt.conn, ckpt.request)
         return True
 
-    def call_stack(self, thread: Optional[Thread] = None) -> List[dict]:
-        """MiniC call stack with source locations (forensics helper);
-        see :func:`repro.forensics.postmortem.capture_stack`."""
-        from repro.forensics.postmortem import capture_stack
-        return capture_stack(self, thread=thread)
-
     def _corrupted_return(self, actual: int) -> None:
         target = actual & ADDRESS_MASK
         if in_code_region(target) and self.program.function_at(target):
@@ -580,7 +574,7 @@ class VM:
         Predecoded handler dispatch (see ``repro.vm.fastpath``): one
         telemetry segment per frame activation, ``frame.pc`` written back
         only when the frame didn't yield, an up-front instruction budget.
-        The inner loop runs ``handlers[pc]`` — a superinstruction or a
+        The inner loop runs ``handlers[pc]`` — a plain handler or a
         compiled block of ``costs[pc]`` instructions — only while that
         cost fits in the remaining quantum, then finishes the slice on
         plain handlers, so thread switches land on exact instruction

@@ -1,26 +1,27 @@
-"""Edge-path coverage for superinstruction fusion and compiled blocks.
+"""Edge-path coverage for compiled blocks.
 
 The committed expectations (test_vm_differential.py) pin behaviour in
-bulk; this file diffs fused dispatch and compiled blocks against plain,
+bulk; this file diffs compiled blocks against plain,
 one-handler-per-instruction dispatch (the ``unfused`` fixture) at the
-places where they could plausibly diverge:
+places where they could plausibly diverge, mostly under the
+``eager_blocks`` fixture so that nearly every block a test enters twice
+runs compiled:
 
 * atomics (ATOMICRMW/CMPXCHG) on scheme-tagged pointers — the handler
   must strip tags with ``& M32``;
-* traps raised *inside* a compiled block or a fused handler (division
-  by zero, a faulting load, bounds violations) — counters and registers
-  at the moment of the exception must match plain dispatch instruction
-  for instruction;
+* traps raised *inside* a compiled block (division by zero, a faulting
+  load, bounds violations) — counters and registers at the moment of
+  the exception must match plain dispatch instruction for instruction;
 * blocking natives (mutex_lock/join returning BLOCK_RETRY) resuming at
   a call that sits mid-basic-block, across tiny scheduler quanta that
-  force the unfused tail loop;
+  force the plain tail loop;
 * slice boundaries: a block is entered only when it fits in the
   remaining quantum, so racy thread interleavings match plain dispatch;
 * MPX bounds propagating through GEP/MOV inside a compiled block;
-* hoisted preheader checks (passes/loop_hoist.py) interacting with
-  bnd/gep fusion;
+* hoisted preheader checks (passes/loop_hoist.py) inside compiled
+  blocks;
 * the per-function code cache: reuse while identity holds, re-predecode
-  when ``fn.code`` is replaced, fusion-site accounting, lazy block
+  when ``fn.code`` is replaced, the shape predecode leaves, lazy block
   compilation, and compiled blocks surviving a fleet worker's restarts.
 """
 
@@ -33,10 +34,11 @@ import pytest
 
 from repro.core import SGXBoundsScheme
 from repro.errors import BoundsViolation, SegmentationFault, TrapError
+from repro.forensics import Forensics
 from repro.ir import Function, IRBuilder, Module
 from repro.mpx import MPXScheme
 from repro.vm import VM, fastpath
-from repro.vm.fastpath import FUSE_MAX, compile_function
+from repro.vm.fastpath import compile_function
 
 from tests.util import (build, eager_blocks, run_c,  # noqa: F401  (fixtures)
                         unfused)
@@ -46,22 +48,25 @@ def _counters(vm):
     return vm.enclave.finalize().snapshot()
 
 
-def _run_pair(unfused, source, make_scheme=lambda: None, **vm_kwargs):
-    """Run one MiniC program unfused and fused; return the two VMs
-    (``make_scheme`` builds a fresh scheme per run — scheme runtimes
-    accumulate violation state)."""
+def _run_pair(unfused, scope, source, make_scheme=lambda: None,
+              **vm_kwargs):
+    """Run one MiniC program on plain handlers and then inside
+    ``scope``; return the two VMs (``make_scheme`` builds a fresh scheme
+    per run — scheme runtimes accumulate violation state)."""
     with unfused():
         plain_result, plain_vm = run_c(source, make_scheme(), **vm_kwargs)
-    fused_result, fused_vm = run_c(source, make_scheme(), **vm_kwargs)
-    assert fused_result == plain_result
-    assert fused_vm.output() == plain_vm.output()
-    assert _counters(fused_vm) == _counters(plain_vm)
-    return plain_vm, fused_vm
+    with scope:
+        block_result, block_vm = run_c(source, make_scheme(), **vm_kwargs)
+    assert block_result == plain_result
+    assert block_vm.output() == plain_vm.output()
+    assert _counters(block_vm) == _counters(plain_vm)
+    return plain_vm, block_vm
 
 
-def _both(unfused):
-    """``(fused, scope)`` pairs: plain dispatch first, then fused."""
-    return ((False, unfused()), (True, contextlib.nullcontext()))
+def _both(unfused, eager_blocks):
+    """``(blocks, scope)`` pairs: plain dispatch first, then every block
+    compiled on its first entry."""
+    return ((False, unfused()), (True, eager_blocks()))
 
 
 # ---------------------------------------------------------------------------
@@ -69,9 +74,11 @@ def _both(unfused):
 # ---------------------------------------------------------------------------
 
 def _atomics_module() -> Module:
-    """Hand-built IR: MiniC has no atomic surface, so emit it directly."""
+    """Hand-built IR: MiniC has no atomic surface, so emit it directly.
+    ``main`` runs the atomics twice, so the second run goes through the
+    block compiled on the first."""
     module = Module("atomics")
-    fn = Function("main", [])
+    fn = Function("atomics", [])
     b = IRBuilder(fn, fn.block("entry"))
     p = b.call("malloc", [b.k(32)])
     b.store(b.k(100), p, size=8)
@@ -89,13 +96,17 @@ def _atomics_module() -> Module:
     b.call("free", [p], want_result=False)
     b.ret(acc)
     module.add_function(fn)
+    main = Function("main", [])
+    b = IRBuilder(main, main.block("entry"))
+    b.ret(b.add(b.call("atomics", []), b.call("atomics", [])))
+    module.add_function(main)
     return module
 
 
 @pytest.mark.parametrize("scheme_cls", [None, SGXBoundsScheme, MPXScheme])
-def test_atomics_identity(scheme_cls, unfused):
+def test_atomics_identity(scheme_cls, unfused, eager_blocks):
     results = {}
-    for fused, scope in _both(unfused):
+    for blocks, scope in _both(unfused, eager_blocks):
         scheme = scheme_cls() if scheme_cls else None
         module = _atomics_module()
         module = scheme.instrument(module) if scheme else module.clone()
@@ -103,15 +114,17 @@ def test_atomics_identity(scheme_cls, unfused):
         with scope:
             vm = VM(scheme=scheme)
             vm.load(module)
-            results[fused] = (vm.run("main", ()), _counters(vm))
+            results[blocks] = (vm.run("main", ()), _counters(vm))
     assert results[True] == results[False]
-    # 100+107+104+41+1000+0+1000 sanity-checks the atomic semantics
-    # themselves, not just interpreter agreement.
-    assert results[True][0] == 2352
+    # 100+107+104+41+1000+0+1000 per run sanity-checks the atomic
+    # semantics themselves, not just interpreter agreement.  The second
+    # run's malloc reuses the chunk the first one freed, so its 4-byte
+    # lane starts at 9 instead of 0.
+    assert results[True][0] == 2352 + 2361
 
 
 # ---------------------------------------------------------------------------
-# Traps inside fused handlers
+# Traps inside compiled blocks
 # ---------------------------------------------------------------------------
 
 def _crash_state(src, exc, scope, make_scheme=lambda: None):
@@ -197,25 +210,33 @@ def test_mpx_bounds_propagate_inside_block(unfused, eager_blocks):
     """, BoundsViolation, unfused, eager_blocks, make_scheme=MPXScheme)
 
 
-def test_violation_inside_gep_load_fusion(unfused):
+def test_violation_inside_gep_load_block(unfused, eager_blocks):
+    """Each pass reads, through the GEP+LOAD of the loop body's compiled
+    block, a heap page nothing has touched yet, and the fifth pass reads
+    one past the end.  The flight recorder stamps every EPC fault with
+    the instruction count at the access, so it sees a block that has not
+    charged its pending instructions before a load."""
     src = """
     int main() {
-        int *p = (int*)malloc(16);
-        int i = 2;
-        i = i * 4;                 // i == 8: one past the last element
-        return p[i];
+        int *p = (int*)malloc(4 * 4096);
+        int s = 0;
+        for (int i = 0; i < 5; i++)
+            s = s + p[i * 1024];   // i == 4: one past the last element
+        return s;
     }
     """
     contexts = {}
-    for fused, scope in _both(unfused):
+    for blocks, scope in _both(unfused, eager_blocks):
         scheme = SGXBoundsScheme()
         module = build(src, scheme)
+        forensics = Forensics()
         with scope:
-            vm = VM(scheme=scheme)
+            vm = VM(scheme=scheme, forensics=forensics)
             vm.load(module)
             with pytest.raises(BoundsViolation) as err:
                 vm.run("main", ())
-        contexts[fused] = (err.value.context(), _counters(vm))
+        contexts[blocks] = (err.value.context(), _counters(vm),
+                            forensics.recorder.to_jsonl())
     assert contexts[True] == contexts[False]
 
 
@@ -245,17 +266,17 @@ int main() {
 
 
 @pytest.mark.parametrize("quantum", [1, 2, 3, 7, 64])
-def test_block_retry_resume_identity(quantum, unfused):
+def test_block_retry_resume_identity(quantum, unfused, eager_blocks):
     """mutex_lock/join return BLOCK_RETRY and the thread later resumes
     at a CALL that sits mid-basic-block.  Tiny quanta additionally force
-    fused dispatch into its unfused tail loop (quantum < FUSE_MAX) on
+    the dispatch loop past compiled blocks into its plain tail loop on
     almost every slice; scheduling order must still match exactly."""
-    _run_pair(unfused, _CONTENTION_SRC, quantum=quantum)
+    _run_pair(unfused, eager_blocks(), _CONTENTION_SRC, quantum=quantum)
 
 
-def test_tail_loop_matches_reference_under_scheme(unfused):
-    _run_pair(unfused, _CONTENTION_SRC, make_scheme=SGXBoundsScheme,
-              quantum=2)
+def test_tail_loop_matches_reference_under_scheme(unfused, eager_blocks):
+    _run_pair(unfused, eager_blocks(), _CONTENTION_SRC,
+              make_scheme=SGXBoundsScheme, quantum=2)
 
 
 #: Three threads race on ``pos`` without a lock, so the log they leave
@@ -289,9 +310,8 @@ int main() {
 
 @pytest.mark.parametrize("quantum", [3, 7, 64])
 def test_block_interleavings_match_plain(quantum, unfused, eager_blocks):
-    with eager_blocks():
-        _run_pair(unfused, _RACE_SRC, quantum=quantum)
-    _run_pair(unfused, _RACE_SRC, quantum=quantum)
+    _run_pair(unfused, eager_blocks(), _RACE_SRC, quantum=quantum)
+    _run_pair(unfused, contextlib.nullcontext(), _RACE_SRC, quantum=quantum)
 
 
 def test_block_longer_than_quantum_not_entered(eager_blocks, monkeypatch):
@@ -367,7 +387,7 @@ def test_worker_compiles_each_block_once(eager_blocks, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Hoisted preheader checks under fusion
+# Hoisted preheader checks inside compiled blocks
 # ---------------------------------------------------------------------------
 
 _HOIST_SRC = """
@@ -382,24 +402,25 @@ int main() {
 """
 
 
-def test_hoisted_checks_identity(unfused):
+def test_hoisted_checks_identity(unfused, eager_blocks):
     """loop_hoist replaces per-iteration checks with one preheader check
-    whose bnd/gep sequence is itself fusion bait; both configurations
-    must match plain dispatch, and hoisting must demonstrably have
-    fired (fewer bounds checks) so the test exercises what it claims."""
+    whose bnd/gep sequence then runs inside the loop's compiled blocks;
+    both configurations must match plain dispatch, and hoisting must
+    demonstrably have fired (fewer bounds checks) so the test exercises
+    what it claims."""
     executed = {}
     for hoist in (False, True):
         make = lambda h=hoist: SGXBoundsScheme(optimize_hoist=h)
-        plain_vm, fused_vm = _run_pair(unfused, _HOIST_SRC,
+        plain_vm, block_vm = _run_pair(unfused, eager_blocks(), _HOIST_SRC,
                                        make_scheme=make)
-        executed[hoist] = _counters(fused_vm)["instructions"]
+        executed[hoist] = _counters(block_vm)["instructions"]
     # Hoisting must demonstrably have fired: dropping 2 x 64 in-loop
     # clamp sequences shows up directly in the instruction count.
     assert executed[True] < executed[False]
 
 
 # ---------------------------------------------------------------------------
-# Predecode cache and fusion accounting
+# Predecode cache and shape
 # ---------------------------------------------------------------------------
 
 def test_fastcode_cached_and_invalidated():
@@ -415,25 +436,31 @@ def test_fastcode_cached_and_invalidated():
     assert program.fast_for(fn, vm) is fc2
 
 
-def test_fusion_sites_recorded():
+def test_predecode_shape():
+    """Right after predecode every index costs one instruction and runs
+    its plain handler, except region heads, which run an entry counter
+    until their block is compiled."""
+    from repro.ir import ops
     scheme = SGXBoundsScheme()
     module = build(_HOIST_SRC, scheme)
     vm = VM(scheme=scheme)
     vm.load(module)
     fn = module.functions["main"]
     fc = compile_function(vm, fn, fn.consts)
-    assert sum(fc.fusion_sites.values()) > 0
-    assert fc.fusion_sites.get("cmp_br", 0) > 0      # loop back-edges
-    # Fused sites really carry their advertised cost; blocks are only
-    # counted at predecode, so no cost exceeds the longest pair yet.
-    assert any(c > 1 for c in fc.costs)
-    assert max(fc.costs) <= FUSE_MAX
-    assert fc.fusion_sites.get("block", 0) > 0
+    assert fc.costs == [1] * len(fn.code)
+    heads = set(fn.block_starts)
+    heads.update(i + 1 for i, ins in enumerate(fn.code)
+                 if ins.op == ops.CALL)
+    entries = [i for i, handler in enumerate(fc.handlers)
+               if handler is not fc.plain[i]]
+    assert entries and set(entries) <= heads
+    for i in entries:
+        assert fc.handlers[i].__qualname__ == "_block_entry.<locals>.h"
 
 
 def test_calls_never_fused():
     """BLOCK_RETRY re-executes the CALL by index: every CALL must keep a
-    cost-1 unfused handler even when surrounded by straight-line code."""
+    cost-1 plain handler even when surrounded by straight-line code."""
     from repro.ir import ops
     module = build("""
     int f(int x) { return x + 1; }

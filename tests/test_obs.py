@@ -2,7 +2,6 @@
 decomposition, burn-rate fire/clear semantics, exposition rendering,
 empty-histogram guards, and the zero-cost-when-off guarantee."""
 
-import contextlib
 import json
 
 import pytest
@@ -24,7 +23,7 @@ from repro.obs.trace import FleetTracer, mint_trace_id
 from repro.telemetry.tracer import SpanTracer
 from repro.workloads.netsim import NetworkSim
 
-from tests.util import unfused  # noqa: F401  (fixture)
+from tests.util import eager_blocks, unfused  # noqa: F401  (fixtures)
 
 
 def _campaign(obs=None, **overrides):
@@ -344,21 +343,21 @@ class TestZeroCostWhenOff:
 
 
 class TestFastpathInvariance:
-    def test_scheme_tax_fastpath_invariant(self, unfused):
-        """The attribution pipeline must be blind to superinstruction
-        fusion: scheme_tax diffs PerfCounters means, and fused dispatch
-        guarantees counter identity with plain dispatch, so the whole
-        tax document — deltas, priced components, shares — must match
-        bit for bit with fusion off and on."""
+    def test_scheme_tax_fastpath_invariant(self, unfused, eager_blocks):
+        """The attribution pipeline must be blind to compiled blocks:
+        scheme_tax diffs PerfCounters means, and compiled blocks
+        guarantee counter identity with plain dispatch, so the whole tax
+        document — deltas, priced components, shares — must match bit
+        for bit between plain handlers and every block compiled."""
         taxes = {}
-        for fused in (False, True):
+        for blocks in (False, True):
             rollups = {}
-            with contextlib.nullcontext() if fused else unfused():
+            with eager_blocks() if blocks else unfused():
                 for scheme in ("native", "sgxbounds"):
                     obs = Observability(seed=7)
                     _campaign(obs, scheme=scheme, policy="drop-request")
                     rollups[scheme] = obs.attribution.rollup()
-            taxes[fused] = scheme_tax(rollups["sgxbounds"],
-                                      rollups["native"])
+            taxes[blocks] = scheme_tax(rollups["sgxbounds"],
+                                       rollups["native"])
         assert taxes[True] is not None
         assert taxes[True] == taxes[False]

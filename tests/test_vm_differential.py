@@ -19,8 +19,8 @@ that now run.  Three granularities:
 Every cell runs twice: with blocks compiled once they turn hot (the
 default), and with every block compiled on its first entry (the
 ``eager_blocks`` fixture).  The matrix and the SGXBounds sample also run
-unfused (the ``unfused`` fixture), which checks superinstructions and
-compiled blocks against the plain handlers they are built from.
+unfused (the ``unfused`` fixture), which checks compiled blocks against
+the plain handlers they are built from.
 
 Regenerate only for an intentional change to simulated behaviour::
 
@@ -213,9 +213,9 @@ def test_fuzz_identity(seed, eager_blocks):
 
 
 def test_fuzz_identity_under_sgxbounds(eager_blocks, unfused):
-    """Sample of the corpus under instrumentation: exercises fusion and
-    blocks on tagged-pointer GEPs and the clamped-access paths the
-    native runs never reach, fused and unfused."""
+    """Sample of the corpus under instrumentation: exercises blocks on
+    tagged-pointer GEPs and the clamped-access paths the native runs
+    never reach, with blocks and on plain handlers only."""
     label = "sgxbounds/{}x{}".format(*SGXBOUNDS_FUZZ)
     for tier in _tiers(eager_blocks):
         with tier:

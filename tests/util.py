@@ -43,15 +43,15 @@ def run_c(source: str, scheme: Optional[SchemeRuntime] = None,
 @pytest.fixture
 def unfused(monkeypatch):
     """``with unfused(): ...`` runs every VM on plain handlers only: one
-    dispatch per instruction, no superinstructions and no compiled
-    blocks, so a test can diff fused dispatch against the single
-    definition of each opcode it is built from."""
+    dispatch per instruction and no compiled blocks, so a test can diff
+    compiled blocks against the single definition of each opcode they
+    are built from."""
     compile_function = fastpath.compile_function
 
     def plain_only(vm, fn, consts):
         fc = compile_function(vm, fn, consts)
         return fastpath.FastCode(fc.plain, [1] * len(fc.plain), fc.plain,
-                                 fc.code, {})
+                                 fc.code)
 
     @contextlib.contextmanager
     def scope():

@@ -3,16 +3,21 @@
 :func:`compile_function` turns one finalized IR function into a flat list
 of *bound handler closures*, in two tiers:
 
-1. *plain* handlers, one per instruction: operands are resolved once
-   (register index vs constant-pool value) and per-op behaviour comes
-   from a registry of closure makers;
+1. *plain* handlers, one per instruction, with operands resolved once
+   (register index vs constant-pool value);
 2. *compiled blocks*: once a basic block has been entered
    ``BLOCK_THRESHOLD`` times, its straight-line region becomes one
    generated Python function (see "Compiled blocks" below).
 
-The plain handlers are the single definition of each opcode's semantics
-and cost.  What they must produce is pinned by the committed expectations
-in ``tests/goldens/reference_runs.json`` (``tests/test_vm_differential.py``):
+The block writer's per-op emission (:class:`_BlockWriter`) is the single
+definition of the semantics and cost of every op it emits as source: the
+binops, LOAD, STORE, GEP, MOV, SELECT, ALLOCA, the conversions, FNEG,
+BR, JMP and NOP.  Their plain handlers are one-instruction renderings of
+that emission, compiled once per instruction shape and cached for the
+process; the remaining ops (calls, returns, traps, atomics, MPX ops) and
+the five function-backed binops have one hand-written maker each.  What
+the interpreter must produce is pinned by the committed expectations in
+``tests/goldens/reference_runs.json`` (``tests/test_vm_differential.py``):
 stdout, :class:`~repro.sgx.counters.PerfCounters`, violations and
 forensics records for every workload x scheme cell, a server scheme x
 policy matrix and a generated-program corpus.  Compiled blocks must be
@@ -52,8 +57,6 @@ from repro.ir import instructions as ops
 from repro.memory.layout import ADDRESS_MASK, PAGE_MASK, PAGE_SHIFT, PAGE_SIZE
 from repro.sgx.cache import LINE_SHIFT, LINE_SIZE
 from repro.vm.machine import (
-    _BIN,
-    _s64,
     BLOCK_RETRY,
     HI32,
     M32,
@@ -289,351 +292,78 @@ class _MemCache:
 
 
 # ---------------------------------------------------------------------------
-# Plain (one-instruction) handler makers.  Each maker resolves operands
-# once and returns a closure; ``npc`` is the baked fall-through index.
+# Function-backed binops.  Their semantics are one Python function each,
+# which compiled blocks bind and :func:`_make_binop`'s plain handlers call.
 # ---------------------------------------------------------------------------
 
+def _s64(x: int) -> int:
+    return x - (1 << 64) if x & (1 << 63) else x
+
+
+def _sdiv(a: int, b: int) -> int:
+    if b == 0:
+        raise TrapError("integer division by zero")
+    sa, sb = _s64(a), _s64(b)
+    q = abs(sa) // abs(sb)
+    if (sa < 0) != (sb < 0):
+        q = -q
+    return q & M64
+
+
+def _srem(a: int, b: int) -> int:
+    if b == 0:
+        raise TrapError("integer remainder by zero")
+    sa, sb = _s64(a), _s64(b)
+    r = abs(sa) % abs(sb)
+    if sa < 0:
+        r = -r
+    return r & M64
+
+
+def _udiv(a: int, b: int) -> int:
+    if b == 0:
+        raise TrapError("integer division by zero")
+    return a // b
+
+
+def _urem(a: int, b: int) -> int:
+    if b == 0:
+        raise TrapError("integer remainder by zero")
+    return a % b
+
+
+def _fdiv(a: float, b: float) -> float:
+    return a / b if b != 0.0 else float("inf") * (1 if a >= 0 else -1)
+
+
+_BIN_FN = {ops.SDIV: _sdiv, ops.UDIV: _udiv, ops.SREM: _srem,
+           ops.UREM: _urem, ops.FDIV: _fdiv}
+
+
 def _make_binop(ins, consts, npc, counters):
-    op = ins.op
+    fn2 = _BIN_FN[ins.op]
     dest, a, b = ins.dest, ins.a, ins.b
-    # The hottest integer ops are inlined (no per-execution fn2 call);
-    # everything else goes through the _BIN lambdas, which compiled
-    # blocks share, keeping trap/NaN semantics in one place.
     if a >= 0 and b >= 0:
-        if op == ops.ADD:
-            def h(frame, regs, thread):
-                counters.instructions += 1
-                regs[dest] = (regs[a] + regs[b]) & M64
-                return npc
-            return h
-        if op == ops.SUB:
-            def h(frame, regs, thread):
-                counters.instructions += 1
-                regs[dest] = (regs[a] - regs[b]) & M64
-                return npc
-            return h
-        if op == ops.MUL:
-            def h(frame, regs, thread):
-                counters.instructions += 1
-                regs[dest] = (regs[a] * regs[b]) & M64
-                return npc
-            return h
-        fn2 = _BIN[op]
         def h(frame, regs, thread):
             counters.instructions += 1
             regs[dest] = fn2(regs[a], regs[b])
             return npc
         return h
-    if a >= 0:
-        bv = consts[-b - 1]
-        if op == ops.ADD:
-            def h(frame, regs, thread):
-                counters.instructions += 1
-                regs[dest] = (regs[a] + bv) & M64
-                return npc
-            return h
-        if op == ops.SUB:
-            def h(frame, regs, thread):
-                counters.instructions += 1
-                regs[dest] = (regs[a] - bv) & M64
-                return npc
-            return h
-        if op == ops.MUL:
-            def h(frame, regs, thread):
-                counters.instructions += 1
-                regs[dest] = (regs[a] * bv) & M64
-                return npc
-            return h
-        fn2 = _BIN[op]
-        def h(frame, regs, thread):
-            counters.instructions += 1
-            regs[dest] = fn2(regs[a], bv)
-            return npc
-        return h
-    av = consts[-a - 1]
-    fn2 = _BIN[op]
-    if b >= 0:
-        def h(frame, regs, thread):
-            counters.instructions += 1
-            regs[dest] = fn2(av, regs[b])
-            return npc
-        return h
-    bv = consts[-b - 1]
     def h(frame, regs, thread):
         # Not folded at predecode: division by a zero constant must trap
         # at execution time, when the instruction runs.
         counters.instructions += 1
-        regs[dest] = fn2(av, bv)
+        regs[dest] = fn2(regs[a] if a >= 0 else consts[-a - 1],
+                         regs[b] if b >= 0 else consts[-b - 1])
         return npc
     return h
 
 
-def _make_load(ins, consts, npc, counters, mem):
-    a, dest, size = ins.a, ins.dest, ins.size
-    read_uint = mem.reader(size)
-    if ins.is_float:
-        read_f64 = mem.reader_f64()
-        if a >= 0:
-            def h(frame, regs, thread):
-                counters.instructions += 1
-                regs[dest] = read_f64(regs[a] & M32)
-                return npc
-            return h
-        addr = consts[-a - 1] & M32
-        def h(frame, regs, thread):
-            counters.instructions += 1
-            regs[dest] = read_f64(addr)
-            return npc
-        return h
-    if ins.signed and size < 8:
-        sign = 1 << (size * 8 - 1)
-        wrap = sign << 1
-        if a >= 0:
-            def h(frame, regs, thread):
-                counters.instructions += 1
-                value = read_uint(regs[a] & M32)
-                regs[dest] = (value - wrap) & M64 if value & sign else value
-                return npc
-            return h
-        addr = consts[-a - 1] & M32
-        def h(frame, regs, thread):
-            counters.instructions += 1
-            value = read_uint(addr)
-            regs[dest] = (value - wrap) & M64 if value & sign else value
-            return npc
-        return h
-    if a >= 0:
-        def h(frame, regs, thread):
-            counters.instructions += 1
-            regs[dest] = read_uint(regs[a] & M32)
-            return npc
-        return h
-    addr = consts[-a - 1] & M32
-    def h(frame, regs, thread):
-        counters.instructions += 1
-        regs[dest] = read_uint(addr)
-        return npc
-    return h
-
-
-def _make_store(ins, consts, npc, counters, mem):
-    a, b, size = ins.a, ins.b, ins.size
-    if ins.is_float:
-        write_f64 = mem.writer_f64()
-        if a >= 0 and b >= 0:
-            def h(frame, regs, thread):
-                counters.instructions += 1
-                write_f64(regs[a] & M32, regs[b])
-                return npc
-            return h
-        def h(frame, regs, thread):
-            counters.instructions += 1
-            av = regs[a] if a >= 0 else consts[-a - 1]
-            bv = regs[b] if b >= 0 else consts[-b - 1]
-            write_f64(av & M32, bv)
-            return npc
-        return h
-    write_uint = mem.writer(size)
-    if a >= 0 and b >= 0:
-        def h(frame, regs, thread):
-            counters.instructions += 1
-            write_uint(regs[a] & M32, regs[b])
-            return npc
-        return h
-    if a >= 0:
-        bv = consts[-b - 1]
-        def h(frame, regs, thread):
-            counters.instructions += 1
-            write_uint(regs[a] & M32, bv)
-            return npc
-        return h
-    addr = consts[-a - 1] & M32
-    if b >= 0:
-        def h(frame, regs, thread):
-            counters.instructions += 1
-            write_uint(addr, regs[b])
-            return npc
-        return h
-    bv = consts[-b - 1]
-    def h(frame, regs, thread):
-        counters.instructions += 1
-        write_uint(addr, bv)
-        return npc
-    return h
-
-
-def _make_gep(ins, consts, npc, counters, track_bounds):
-    a, b, c, size, clamp, dest = ins.a, ins.b, ins.c, ins.size, \
-        ins.clamp, ins.dest
-    # §3.2's clamped arithmetic: on x86 this lowers to a 32-bit lea plus
-    # one merge op, so a clamped GEP costs two instructions.
-    inc = 2 if clamp else 1
-    if b is None:
-        if a >= 0 and not clamp and not track_bounds:
-            def h(frame, regs, thread):
-                counters.instructions += 1
-                regs[dest] = (regs[a] + c) & M64
-                return npc
-            return h
-        def h(frame, regs, thread):
-            counters.instructions += inc
-            base = regs[a] if a >= 0 else consts[-a - 1]
-            value = base + c
-            if clamp:
-                value = (base & HI32) | (value & M32)
-            else:
-                value &= M64
-            regs[dest] = value
-            if track_bounds:
-                bnd = frame.bounds
-                if bnd is not None and a >= 0 and a in bnd:
-                    bnd[dest] = bnd[a]
-            return npc
-        return h
-    if a >= 0 and b >= 0 and not clamp and not track_bounds:
-        def h(frame, regs, thread):
-            counters.instructions += 1
-            regs[dest] = (regs[a] + regs[b] * size + c) & M64
-            return npc
-        return h
-    def h(frame, regs, thread):
-        counters.instructions += inc
-        base = regs[a] if a >= 0 else consts[-a - 1]
-        idx = regs[b] if b >= 0 else consts[-b - 1]
-        value = base + idx * size + c
-        if clamp:
-            value = (base & HI32) | (value & M32)
-        else:
-            value &= M64
-        regs[dest] = value
-        if track_bounds:
-            bnd = frame.bounds
-            if bnd is not None and a >= 0 and a in bnd:
-                bnd[dest] = bnd[a]
-        return npc
-    return h
-
-
-def _make_br(ins, consts, counters):
-    a, t1, t2 = ins.a, ins.t1, ins.t2
-    if a >= 0:
-        def h(frame, regs, thread):
-            counters.instructions += 1
-            counters.branches += 1
-            return t1 if regs[a] else t2
-        return h
-    av = consts[-a - 1]
-    target = t1 if av else t2
-    def h(frame, regs, thread):
-        counters.instructions += 1
-        counters.branches += 1
-        return target
-    return h
-
-
-def _make_jmp(ins, counters):
-    t1 = ins.t1
-    def h(frame, regs, thread):
-        counters.instructions += 1
-        counters.branches += 1
-        return t1
-    return h
-
-
-def _make_mov(ins, consts, npc, counters, track_bounds):
-    a, dest = ins.a, ins.dest
-    if a >= 0:
-        if not track_bounds:
-            def h(frame, regs, thread):
-                counters.instructions += 1
-                regs[dest] = regs[a]
-                return npc
-            return h
-        def h(frame, regs, thread):
-            counters.instructions += 1
-            regs[dest] = regs[a]
-            bnd = frame.bounds
-            if bnd is not None and a in bnd:
-                bnd[dest] = bnd[a]
-            return npc
-        return h
-    av = consts[-a - 1]
-    def h(frame, regs, thread):
-        counters.instructions += 1
-        regs[dest] = av
-        return npc
-    return h
-
-
-def _make_select(ins, consts, npc, counters):
-    a, b, c, dest = ins.a, ins.b, ins.c, ins.dest
-    def h(frame, regs, thread):
-        counters.instructions += 1
-        av = regs[a] if a >= 0 else consts[-a - 1]
-        chosen = b if av else c
-        regs[dest] = regs[chosen] if chosen >= 0 else consts[-chosen - 1]
-        return npc
-    return h
-
-
-def _make_alloca(ins, npc, counters):
-    dest, c = ins.dest, ins.c
-    def h(frame, regs, thread):
-        counters.instructions += 1
-        regs[dest] = frame.base + c
-        return npc
-    return h
-
-
-def _make_unary(ins, consts, npc, counters):
-    op, a, dest = ins.op, ins.a, ins.dest
-    if op == ops.TRUNC:
-        mask = (1 << (ins.size * 8)) - 1
-        if a >= 0:
-            def h(frame, regs, thread):
-                counters.instructions += 1
-                regs[dest] = regs[a] & mask
-                return npc
-            return h
-        av = consts[-a - 1]
-        def h(frame, regs, thread):
-            counters.instructions += 1
-            regs[dest] = av & mask
-            return npc
-        return h
-    if op == ops.SEXT:
-        bits = ins.size * 8
-        sign = 1 << (bits - 1)
-        mask = (1 << bits) - 1
-        wrap = 1 << bits
-        def h(frame, regs, thread):
-            counters.instructions += 1
-            av = (regs[a] if a >= 0 else consts[-a - 1]) & mask
-            regs[dest] = (av - wrap) & M64 if av & sign else av
-            return npc
-        return h
-    if op == ops.SITOFP:
-        def h(frame, regs, thread):
-            counters.instructions += 1
-            av = regs[a] if a >= 0 else consts[-a - 1]
-            regs[dest] = float(_s64(av))
-            return npc
-        return h
-    if op == ops.FPTOSI:
-        def h(frame, regs, thread):
-            counters.instructions += 1
-            av = regs[a] if a >= 0 else consts[-a - 1]
-            regs[dest] = int(av) & M64
-            return npc
-        return h
-    # FNEG
-    def h(frame, regs, thread):
-        counters.instructions += 1
-        av = regs[a] if a >= 0 else consts[-a - 1]
-        regs[dest] = -av
-        return npc
-    return h
-
+# ---------------------------------------------------------------------------
+# Plain handlers of the ops compiled blocks do not emit as source: each
+# maker resolves operands once and returns a closure; ``npc`` is the baked
+# fall-through index.
+# ---------------------------------------------------------------------------
 
 def _make_atomicrmw(ins, consts, npc, counters, mem):
     a, b, dest, size, kind = ins.a, ins.b, ins.dest, ins.size, ins.name
@@ -763,13 +493,6 @@ def _make_trap(ins, counters):
     def h(frame, regs, thread):
         counters.instructions += 1
         raise TrapError(message)
-    return h
-
-
-def _make_nop(npc, counters):
-    def h(frame, regs, thread):
-        counters.instructions += 1
-        return npc
     return h
 
 
@@ -933,34 +656,22 @@ def _make_ret(ins, consts, counters, vm, track_bounds, mem):
 # ---------------------------------------------------------------------------
 
 def _make_plain(ins, consts, i, counters, vm, track_bounds, mem):
-    """Standalone handler for one instruction: the single definition of
-    its opcode's semantics and cost."""
-    npc = i + 1
+    """Standalone handler for one instruction.  An op the block writer
+    emits as source gets a one-instruction rendering of that emission, so
+    the writer is the single definition of its semantics and cost; the
+    rest (calls, returns, traps, atomics, MPX ops and the function-backed
+    binops) have a maker of their own."""
     op = ins.op
-    if op in _BIN:
+    if op in _RENDERED_OPS:
+        return _plain_make(ins, track_bounds)(counters, mem, consts, ins,
+                                              i + 1)
+    npc = i + 1
+    if op in _BIN_FN:
         return _make_binop(ins, consts, npc, counters)
-    if op == ops.LOAD:
-        return _make_load(ins, consts, npc, counters, mem)
-    if op == ops.STORE:
-        return _make_store(ins, consts, npc, counters, mem)
-    if op == ops.GEP:
-        return _make_gep(ins, consts, npc, counters, track_bounds)
-    if op == ops.BR:
-        return _make_br(ins, consts, counters)
-    if op == ops.JMP:
-        return _make_jmp(ins, counters)
-    if op == ops.MOV:
-        return _make_mov(ins, consts, npc, counters, track_bounds)
-    if op == ops.SELECT:
-        return _make_select(ins, consts, npc, counters)
     if op == ops.CALL:
         return _make_call(ins, consts, i, counters, vm, track_bounds)
     if op == ops.RET:
         return _make_ret(ins, consts, counters, vm, track_bounds, mem)
-    if op == ops.ALLOCA:
-        return _make_alloca(ins, npc, counters)
-    if op in (ops.TRUNC, ops.SEXT, ops.SITOFP, ops.FPTOSI, ops.FNEG):
-        return _make_unary(ins, consts, npc, counters)
     if op == ops.ATOMICRMW:
         return _make_atomicrmw(ins, consts, npc, counters, mem)
     if op == ops.CMPXCHG:
@@ -977,25 +688,40 @@ def _make_plain(ins, consts, i, counters, vm, track_bounds, mem):
         return _make_bndstx(ins, consts, npc, counters, vm)
     if op == ops.TRAP:
         return _make_trap(ins, counters)
-    if op == ops.NOP:
-        return _make_nop(npc, counters)
     return _make_raise(
         f"unhandled opcode {op} ({ops.OP_NAMES.get(op)})", counters)
 
 
-#: Ops a compiled block may contain: straight-line, with a fixed
-#: fall-through, never yielding to the dispatch loop.  (They may still
-#: raise — traps, faults and violations leave a block with plain-dispatch
-#: state.)
-_STRAIGHT_OPS = frozenset(_BIN) | frozenset((
-    ops.LOAD, ops.STORE, ops.GEP, ops.MOV, ops.SELECT, ops.ALLOCA,
-    ops.TRUNC, ops.SEXT, ops.SITOFP, ops.FPTOSI, ops.FNEG,
-    ops.ATOMICRMW, ops.CMPXCHG, ops.BNDMK, ops.BNDCL, ops.BNDCU,
-    ops.BNDLDX, ops.BNDSTX, ops.NOP))
+#: Shape key -> ``make(counters, mem, consts, ins, npc)`` of that shape's
+#: plain handler; shared by every VM in the process.
+_PLAIN_MAKES: Dict[tuple, Callable] = {}
 
-#: Ops that end a block: they transfer control, so the block returns
-#: their target.
-_TERM_OPS = frozenset((ops.BR, ops.JMP))
+
+def _shape(ins, track_bounds: bool) -> tuple:
+    """Everything a plain handler's rendering branches on: the opcode,
+    whether each operand field is absent (None), a register (True) or a
+    constant (False), the size and flags, and the scheme's bounds
+    tracking.  Operand values never reach the source."""
+    a, b, c = ins.a, ins.b, ins.c
+    return (ins.op, a if a is None else a >= 0, b if b is None else b >= 0,
+            c if c is None else c >= 0, ins.size, ins.signed, ins.is_float,
+            ins.clamp, track_bounds)
+
+
+def _plain_make(ins, track_bounds: bool) -> Callable:
+    key = _shape(ins, track_bounds)
+    make = _PLAIN_MAKES.get(key)
+    if make is None:
+        src = _BlockWriter(track_bounds).source([ins], 0, 1)
+        make = _PLAIN_MAKES[key] = _compile_make(
+            src, f"<plain {ops.OP_NAMES[ins.op]} #{len(_PLAIN_MAKES)}>")
+    return make
+
+
+def _compile_make(src: str, filename: str) -> Callable:
+    scope: Dict[str, object] = {}
+    exec(compile(src, filename, "exec"), scope)
+    return scope["make"]
 
 
 def compile_function(vm, fn, consts) -> FastCode:
@@ -1045,11 +771,11 @@ def compile_function(vm, fn, consts) -> FastCode:
 # cached in locals and written to ``regs`` as each value is computed.
 # ``counters.instructions`` is batched: each instruction's cost is added
 # to the pending sum, which is flushed before every memory access, call
-# of a plain handler and op that may raise (div/rem, float conversions),
-# and at block exit — so every observable point, and every exception,
-# sees exactly the counters and registers plain dispatch would leave.
-# Hot ops are emitted as source; any other straight-line op is a call to
-# its plain handler, so its semantics stay defined in one place.
+# of a plain handler and div/rem, and at block exit — so every
+# observable point, and every exception, sees exactly the counters and
+# registers plain dispatch would leave.  Ops in ``_INLINE_OPS`` are
+# emitted as source, by the same code that renders their plain handlers;
+# any other straight-line op is a call to its plain handler.
 # ---------------------------------------------------------------------------
 
 #: Entries into a region head before its block is compiled.  Generating
@@ -1057,15 +783,14 @@ def compile_function(vm, fn, consts) -> FastCode:
 #: of it save, so code that stays lukewarm keeps its predecoded handlers.
 BLOCK_THRESHOLD = 64
 
-_REGION_OPS = _STRAIGHT_OPS | _TERM_OPS
 _M64 = repr(M64)
 _M32 = repr(M32)
 _HI32 = repr(HI32)
 _SIGN64 = repr(1 << 63)
 _WRAP64 = repr(1 << 64)
 
-#: Source templates of the non-trapping ``_BIN`` ops, over operand
-#: atoms ``{a}``/``{b}`` and their signed views ``{sa}``/``{sb}``.
+#: Source templates of the binops that are not function-backed, over
+#: operand atoms ``{a}``/``{b}`` and their signed views ``{sa}``/``{sb}``.
 _BIN_SRC = {
     ops.ADD: "({a} + {b}) & " + _M64,
     ops.SUB: "({a} - {b}) & " + _M64,
@@ -1099,9 +824,28 @@ _BIN_SRC = {
 
 #: Straight-line ops the writer emits as source; every one but STORE
 #: writes a destination register.
-_INLINE_OPS = frozenset(_BIN) | frozenset((
+_INLINE_OPS = frozenset(_BIN_SRC) | frozenset(_BIN_FN) | frozenset((
     ops.LOAD, ops.STORE, ops.GEP, ops.MOV, ops.SELECT, ops.ALLOCA,
     ops.TRUNC, ops.SEXT, ops.SITOFP, ops.FPTOSI, ops.FNEG))
+
+#: Ops whose plain handler is a one-instruction rendering of the writer's
+#: emission (the function-backed binops keep :func:`_make_binop`).
+_RENDERED_OPS = (_INLINE_OPS - frozenset(_BIN_FN)) \
+    | frozenset((ops.BR, ops.JMP, ops.NOP))
+
+#: Ops a compiled block may contain: straight-line, with a fixed
+#: fall-through, never yielding to the dispatch loop.  (They may still
+#: raise — traps, faults and violations leave a block with plain-dispatch
+#: state.)
+_STRAIGHT_OPS = _INLINE_OPS | frozenset((
+    ops.ATOMICRMW, ops.CMPXCHG, ops.BNDMK, ops.BNDCL, ops.BNDCU,
+    ops.BNDLDX, ops.BNDSTX, ops.NOP))
+
+#: Ops that end a block: they transfer control, so the block returns
+#: their target.
+_TERM_OPS = frozenset((ops.BR, ops.JMP))
+
+_REGION_OPS = _STRAIGHT_OPS | _TERM_OPS
 
 
 class _BlockContext:
@@ -1152,65 +896,119 @@ def _region_end(code: list, head: int, starts) -> int:
 
 def _install_block(fc: FastCode, head: int, ctx: _BlockContext) -> None:
     end = _region_end(fc.code, head, ctx.starts)
-    writer = _BlockWriter(ctx, fc.plain)
+    writer = _BlockWriter(ctx.track_bounds, ctx.consts, fc.plain)
+    writer.bind("counters", ctx.counters)
+    writer.bind("mem", ctx.mem)
+    if ctx.stats is not None:
+        writer.bind("stats", ctx.stats)
     src = writer.source(fc.code, head, end)
-    scope: Dict[str, object] = {}
-    exec(compile(src, f"<block {ctx.name}@{head}>", "exec"), scope)
-    fc.handlers[head] = scope["make"](*writer.binds.values())
+    make = _compile_make(src, f"<block {ctx.name}@{head}>")
+    fc.handlers[head] = make(*writer.binds.values())
     fc.costs[head] = end - head
 
 
-class _BlockWriter:
-    """Python source of one region: ``make(<binds>)`` returns the block's
-    handler, with every runtime object it uses bound as a closure cell."""
+#: Parameters of a plain handler's ``make``.
+_PLAIN_PARAMS = ("counters", "mem", "consts", "ins", "npc")
 
-    def __init__(self, ctx: _BlockContext, plain: List[Handler]):
-        self.ctx = ctx
+
+class _BlockWriter:
+    """Python source of ``make``, which returns a handler with every
+    runtime object it uses bound as a closure cell.  Two renderings share
+    each op's emission:
+
+    * a compiled block (``plain`` given): a region whose register indices
+      and int constants are inlined as literals, with registers cached in
+      locals and charges batched; ``make(<binds>)`` builds it;
+    * a plain handler (``plain`` None): one instruction whose register
+      indices, constants, branch targets, GEP scale and offset and
+      fall-through index are closure values that
+      ``make(counters, mem, consts, ins, npc)`` reads from the
+      instruction, so the source depends only on :func:`_shape`.
+    """
+
+    def __init__(self, track_bounds: bool, consts: Optional[list] = None,
+                 plain: Optional[List[Handler]] = None):
+        self.track_bounds = track_bounds
+        self.consts = consts
         self.plain = plain
-        self.binds: Dict[str, object] = {"counters": ctx.counters}
+        self.one = plain is None
+        self.binds: Dict[str, object] = {}
+        self.setup: Dict[str, str] = {}   # make-time locals
         self.lines: List[str] = []
         self.cached: set = set()    # registers held in locals
         self.pending = 0            # instructions not yet charged
         self.uses_bounds = False
+        self.ins = None
 
     # -- operands ---------------------------------------------------------
     def bind(self, name: str, value) -> str:
         self.binds[name] = value
         return name
 
-    def reg(self, r: int) -> str:
-        if r not in self.cached:
-            self.lines.append(f"r{r} = regs[{r}]")
-            self.cached.add(r)
-        return f"r{r}"
+    def let(self, name: str, expr: str) -> str:
+        """``name``, set to ``expr`` once when ``make`` runs."""
+        self.setup[name] = expr
+        return name
 
-    def const(self, value) -> str:
+    def field(self, name: str) -> str:
+        """An integer field of the instruction (register index, branch
+        target, GEP scale or offset): a literal in a block, a closure
+        value in a plain handler."""
+        if self.one:
+            return self.let(name, f"ins.{name}")
+        return f"({getattr(self.ins, name)!r})"
+
+    def reg(self, name: str) -> str:
+        local = f"r{name}" if self.one else f"r{getattr(self.ins, name)}"
+        if local not in self.cached:
+            self.lines.append(f"{local} = regs[{self.field(name)}]")
+            self.cached.add(local)
+        return local
+
+    def val(self, name: str) -> str:
+        x = getattr(self.ins, name)
+        if x >= 0:
+            return self.reg(name)
+        if self.one:
+            return self.let(f"k{name}", f"consts[-ins.{name} - 1]")
+        value = self.consts[-x - 1]
         if type(value) is int:
             return f"({value!r})"
         return self.bind(f"k{len(self.binds)}", value)
 
-    def val(self, x: int) -> str:
-        return self.reg(x) if x >= 0 else self.const(self.ctx.consts[-x - 1])
-
-    def sval(self, x: int) -> str:
-        """Signed view of operand ``x`` (``_s64``)."""
-        if x < 0:
-            value = self.ctx.consts[-x - 1]
+    def _int_const(self, name: str):
+        """The int constant operand ``name`` of a block, else None."""
+        x = getattr(self.ins, name)
+        if x < 0 and not self.one:
+            value = self.consts[-x - 1]
             if type(value) is int:
-                return f"({_s64(value)!r})"
-        v = self.val(x)
+                return value
+        return None
+
+    def sval(self, name: str) -> str:
+        """Signed view of operand ``name`` (``_s64``)."""
+        value = self._int_const(name)
+        if value is not None:
+            return f"({_s64(value)!r})"
+        v = self.val(name)
         return f"({v} - {_WRAP64} if {v} & {_SIGN64} else {v})"
 
-    def addr(self, x: int) -> str:
-        if x < 0:
-            value = self.ctx.consts[-x - 1]
-            if type(value) is int:
-                return repr(value & M32)
-        return f"{self.val(x)} & {_M32}"
+    def addr(self, name: str) -> str:
+        value = self._int_const(name)
+        if value is not None:
+            return repr(value & M32)
+        if self.one and getattr(self.ins, name) < 0:
+            return self.let(f"m{name}",
+                            f"consts[-ins.{name} - 1] & {_M32}")
+        return f"{self.val(name)} & {_M32}"
 
-    def set(self, dest: int, expr: str) -> None:
+    def set(self, expr: str) -> None:
+        if self.one:
+            self.lines.append(f"regs[{self.field('dest')}] = {expr}")
+            return
+        dest = self.ins.dest
         self.lines.append(f"r{dest} = regs[{dest}] = {expr}")
-        self.cached.add(dest)
+        self.cached.add(f"r{dest}")
 
     def charge(self) -> None:
         if self.pending:
@@ -1218,9 +1016,11 @@ class _BlockWriter:
                 f"counters.instructions += {self.pending}")
             self.pending = 0
 
-    def bounds_copy(self, a: int, dest: int) -> None:
-        if self.ctx.track_bounds and a >= 0:
+    def bounds_copy(self) -> None:
+        """Copy register ``a``'s bounds to ``dest``."""
+        if self.track_bounds and self.ins.a >= 0:
             self.uses_bounds = True
+            a, dest = self.field("a"), self.field("dest")
             self.lines.append(
                 f"if bnd is not None and {a} in bnd: bnd[{dest}] = bnd[{a}]")
 
@@ -1228,110 +1028,112 @@ class _BlockWriter:
     def emit(self, ins, i: int) -> Optional[str]:
         """Emit instruction ``i``; returns the exit statement if it ends
         the block."""
+        self.ins = ins
         op = ins.op
         if op in _TERM_OPS:
             self.pending += 1
             self.charge()
             self.lines.append("counters.branches += 1")
             if op == ops.JMP:
-                return f"return {ins.t1}"
-            if ins.a < 0:
-                taken = self.ctx.consts[-ins.a - 1]
+                return f"return {self.field('t1')}"
+            if ins.a < 0 and not self.one:
+                taken = self.consts[-ins.a - 1]
                 return f"return {ins.t1 if taken else ins.t2}"
-            return f"return {ins.t1} if {self.reg(ins.a)} else {ins.t2}"
+            return (f"return {self.field('t1')} if {self.val('a')} "
+                    f"else {self.field('t2')}")
         if op == ops.NOP:
             self.pending += 1
             return None
-        if op not in _INLINE_OPS or op != ops.STORE and ins.dest is None:
+        if op not in _INLINE_OPS:
             self.charge()
             self.lines.append(
                 f"{self.bind(f'p{i}', self.plain[i])}(frame, regs, thread)")
             self.cached.clear()
             return None
-        dest = ins.dest
-        mem = self.ctx.mem
-        if op in _BIN:
-            template = _BIN_SRC.get(op)
+        if op in _BIN_FN or op in _BIN_SRC:
             self.pending += 1
+            template = _BIN_SRC.get(op)
             if template is None:         # div/rem/fdiv: trap semantics
                 self.charge()
-                fn2 = self.bind(f"f{op}", _BIN[op])
-                self.set(dest, f"{fn2}({self.val(ins.a)}, {self.val(ins.b)})")
+                fn2 = self.bind(f"f{op}", _BIN_FN[op])
+                self.set(f"{fn2}({self.val('a')}, {self.val('b')})")
                 return None
-            fields = {"a": self.val(ins.a), "b": self.val(ins.b)}
+            fields = {"a": self.val("a"), "b": self.val("b")}
             if "{s" in template:
-                fields["sa"] = self.sval(ins.a)
-                fields["sb"] = self.sval(ins.b)
-            self.set(dest, template.format(**fields))
+                fields["sa"] = self.sval("a")
+                fields["sb"] = self.sval("b")
+            self.set(template.format(**fields))
         elif op == ops.LOAD:
             self.pending += 1
             self.charge()
-            address = self.addr(ins.a)
+            address = self.addr("a")
             size = ins.size
             if ins.is_float:
-                rd = self.bind("rdf", mem.reader_f64())
-                self.set(dest, f"{rd}({address})")
+                rd = self.let("rdf", "mem.reader_f64()")
+                self.set(f"{rd}({address})")
             elif ins.signed and size < 8:
-                rd = self.bind(f"rd{size}", mem.reader(size))
+                rd = self.let(f"rd{size}", f"mem.reader({size})")
                 sign = 1 << (size * 8 - 1)
                 self.lines.append(f"t = {rd}({address})")
-                self.set(dest, f"(t - {sign << 1}) & {_M64} "
-                               f"if t & {sign} else t")
+                self.set(f"(t - {sign << 1}) & {_M64} if t & {sign} else t")
             else:
-                rd = self.bind(f"rd{size}", mem.reader(size))
-                self.set(dest, f"{rd}({address})")
+                rd = self.let(f"rd{size}", f"mem.reader({size})")
+                self.set(f"{rd}({address})")
         elif op == ops.STORE:
             self.pending += 1
             self.charge()
-            address = self.addr(ins.a)
+            address = self.addr("a")
             if ins.is_float:
-                wr = self.bind("wrf", mem.writer_f64())
+                wr = self.let("wrf", "mem.writer_f64()")
             else:
-                wr = self.bind(f"wr{ins.size}", mem.writer(ins.size))
-            self.lines.append(f"{wr}({address}, {self.val(ins.b)})")
+                wr = self.let(f"wr{ins.size}", f"mem.writer({ins.size})")
+            self.lines.append(f"{wr}({address}, {self.val('b')})")
         elif op == ops.GEP:
+            # §3.2's clamped arithmetic: on x86 this lowers to a 32-bit
+            # lea plus one merge op, so a clamped GEP costs two
+            # instructions.
             self.pending += 2 if ins.clamp else 1
-            base = self.val(ins.a)
+            base = self.val("a")
             value = base if ins.b is None else \
-                f"{base} + {self.val(ins.b)} * {ins.size!r}"
-            if ins.c:
-                value += f" + ({ins.c!r})"
+                f"{base} + {self.val('b')} * {self.field('size')}"
+            if ins.c or self.one:
+                value += f" + {self.field('c')}"
             if ins.clamp:
-                self.set(dest, f"({base} & {_HI32}) | (({value}) & {_M32})")
+                self.set(f"({base} & {_HI32}) | (({value}) & {_M32})")
             else:
-                self.set(dest, f"({value}) & {_M64}")
-            self.bounds_copy(ins.a, dest)
+                self.set(f"({value}) & {_M64}")
+            self.bounds_copy()
         elif op == ops.MOV:
             self.pending += 1
-            self.set(dest, self.val(ins.a))
-            self.bounds_copy(ins.a, dest)
+            self.set(self.val("a"))
+            self.bounds_copy()
         elif op == ops.SELECT:
             self.pending += 1
-            self.set(dest, f"{self.val(ins.b)} if {self.val(ins.a)} "
-                           f"else {self.val(ins.c)}")
+            self.set(f"{self.val('b')} if {self.val('a')} "
+                     f"else {self.val('c')}")
         elif op == ops.ALLOCA:
             self.pending += 1
-            self.set(dest, f"frame.base + ({ins.c!r})")
+            self.set(f"frame.base + {self.field('c')}")
         elif op == ops.TRUNC:
             self.pending += 1
-            self.set(dest, f"{self.val(ins.a)} & {(1 << (ins.size * 8)) - 1}")
+            self.set(f"{self.val('a')} & {(1 << (ins.size * 8)) - 1}")
         elif op == ops.SEXT:
             self.pending += 1
             bits = ins.size * 8
-            self.lines.append(f"t = {self.val(ins.a)} & {(1 << bits) - 1}")
-            self.set(dest, f"(t - {1 << bits}) & {_M64} "
-                           f"if t & {1 << (bits - 1)} else t")
+            self.lines.append(f"t = {self.val('a')} & {(1 << bits) - 1}")
+            self.set(f"(t - {1 << bits}) & {_M64} "
+                     f"if t & {1 << (bits - 1)} else t")
         elif op == ops.SITOFP:
             self.pending += 1
             self.charge()
-            self.set(dest, f"float({self.sval(ins.a)})")
+            self.set(f"float({self.sval('a')})")
         elif op == ops.FPTOSI:
             self.pending += 1
             self.charge()
-            self.set(dest, f"int({self.val(ins.a)}) & {_M64}")
+            self.set(f"int({self.val('a')}) & {_M64}")
         else:   # FNEG
             self.pending += 1
-            self.set(dest, f"-{self.val(ins.a)}")
+            self.set(f"-{self.val('a')}")
         return None
 
     def source(self, code: list, head: int, end: int) -> str:
@@ -1340,15 +1142,17 @@ class _BlockWriter:
             exit_line = self.emit(code[i], i)
         if exit_line is None:           # stopped before a non-block op
             self.charge()
-            exit_line = f"return {end}"
+            exit_line = "return npc" if self.one else f"return {end}"
         body = self.lines + [exit_line]
         if self.uses_bounds:
             body.insert(0, "bnd = frame.bounds")
-        if self.ctx.stats is not None:
-            self.bind("stats", self.ctx.stats)
+        if "stats" in self.binds:
             body.insert(0, 'stats["block"] += 1')
+        params = _PLAIN_PARAMS if self.one else self.binds
+        inner = "h" if self.one else "block"
         return "".join((
-            f"def make({', '.join(self.binds)}):\n",
-            "    def block(frame, regs, thread):\n",
+            f"def make({', '.join(params)}):\n",
+            *(f"    {name} = {expr}\n" for name, expr in self.setup.items()),
+            f"    def {inner}(frame, regs, thread):\n",
             *(f"        {line}\n" for line in body),
-            "    return block\n"))
+            f"    return {inner}\n"))

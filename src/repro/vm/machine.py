@@ -32,7 +32,6 @@ from repro.errors import (
     TrapError,
     VMError,
 )
-from repro.ir import instructions as ops
 from repro.ir.module import Function, Module
 from repro.memory.layout import (
     ADDRESS_MASK,
@@ -51,7 +50,6 @@ from repro.vm.scheme import SchemeRuntime
 M64 = (1 << 64) - 1
 M32 = 0xFFFFFFFF
 HI32 = M64 ^ M32
-_SIGN64 = 1 << 63
 
 #: Sentinel a native returns to mean "re-execute this call when unblocked".
 BLOCK_RETRY = object()
@@ -70,78 +68,6 @@ class NativeResult:
         self.value = value
         self.bounds = bounds
 
-
-def _s64(x: int) -> int:
-    return x - (1 << 64) if x & _SIGN64 else x
-
-
-def _sdiv(a: int, b: int) -> int:
-    if b == 0:
-        raise TrapError("integer division by zero")
-    sa, sb = _s64(a), _s64(b)
-    q = abs(sa) // abs(sb)
-    if (sa < 0) != (sb < 0):
-        q = -q
-    return q & M64
-
-
-def _srem(a: int, b: int) -> int:
-    if b == 0:
-        raise TrapError("integer remainder by zero")
-    sa, sb = _s64(a), _s64(b)
-    r = abs(sa) % abs(sb)
-    if sa < 0:
-        r = -r
-    return r & M64
-
-
-def _udiv(a: int, b: int) -> int:
-    if b == 0:
-        raise TrapError("integer division by zero")
-    return a // b
-
-
-def _urem(a: int, b: int) -> int:
-    if b == 0:
-        raise TrapError("integer remainder by zero")
-    return a % b
-
-
-_BIN = {
-    ops.ADD: lambda a, b: (a + b) & M64,
-    ops.SUB: lambda a, b: (a - b) & M64,
-    ops.MUL: lambda a, b: (a * b) & M64,
-    ops.SDIV: _sdiv,
-    ops.UDIV: _udiv,
-    ops.SREM: _srem,
-    ops.UREM: _urem,
-    ops.AND: lambda a, b: a & b,
-    ops.OR: lambda a, b: a | b,
-    ops.XOR: lambda a, b: a ^ b,
-    ops.SHL: lambda a, b: (a << (b & 63)) & M64,
-    ops.LSHR: lambda a, b: a >> (b & 63),
-    ops.ASHR: lambda a, b: (_s64(a) >> (b & 63)) & M64,
-    ops.FADD: lambda a, b: a + b,
-    ops.FSUB: lambda a, b: a - b,
-    ops.FMUL: lambda a, b: a * b,
-    ops.FDIV: lambda a, b: a / b if b != 0.0 else float("inf") * (1 if a >= 0 else -1),
-    ops.EQ: lambda a, b: 1 if a == b else 0,
-    ops.NE: lambda a, b: 1 if a != b else 0,
-    ops.SLT: lambda a, b: 1 if _s64(a) < _s64(b) else 0,
-    ops.SLE: lambda a, b: 1 if _s64(a) <= _s64(b) else 0,
-    ops.SGT: lambda a, b: 1 if _s64(a) > _s64(b) else 0,
-    ops.SGE: lambda a, b: 1 if _s64(a) >= _s64(b) else 0,
-    ops.ULT: lambda a, b: 1 if a < b else 0,
-    ops.ULE: lambda a, b: 1 if a <= b else 0,
-    ops.UGT: lambda a, b: 1 if a > b else 0,
-    ops.UGE: lambda a, b: 1 if a >= b else 0,
-    ops.FEQ: lambda a, b: 1 if a == b else 0,
-    ops.FNE: lambda a, b: 1 if a != b else 0,
-    ops.FLT: lambda a, b: 1 if a < b else 0,
-    ops.FLE: lambda a, b: 1 if a <= b else 0,
-    ops.FGT: lambda a, b: 1 if a > b else 0,
-    ops.FGE: lambda a, b: 1 if a >= b else 0,
-}
 
 RUNNABLE = 0
 BLOCKED = 1

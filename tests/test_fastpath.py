@@ -354,16 +354,24 @@ def _spy_compile(monkeypatch):
 
 
 def test_predecode_compiles_nothing(eager_blocks, monkeypatch):
+    """Predecode compiles no block: its only code is the plain-handler
+    shapes this process has not rendered yet, so predecoding the same
+    program for a second VM compiles nothing.  Blocks are compiled once
+    they run."""
     names = _spy_compile(monkeypatch)
     with eager_blocks():
         module = build(_RACE_SRC)
-        vm = VM()
-        program = vm.load(module)
-        for fn in module.functions.values():
-            program.fast_for(fn, vm)
-        assert names == []
+        for _ in range(2):
+            vm = VM()
+            program = vm.load(module)
+            predecoded = len(names)
+            for fn in module.functions.values():
+                program.fast_for(fn, vm)
+        assert len(names) == predecoded
+        assert all(name.startswith("<plain ") for name in names)
         vm.run("main", ())
-    assert names and all(name.startswith("<block ") for name in names)
+    ran = names[predecoded:]
+    assert ran and all(name.startswith("<block ") for name in ran)
 
 
 def test_worker_compiles_each_block_once(eager_blocks, monkeypatch):
@@ -480,3 +488,41 @@ def test_calls_never_fused():
         if ins.op == ops.CALL:
             assert fc.costs[i] == 1
             assert fc.handlers[i] is fc.plain[i]
+
+
+# ---------------------------------------------------------------------------
+# Plain handlers rendered by shape
+# ---------------------------------------------------------------------------
+
+def test_shape_key_is_sound():
+    """Plain handlers are compiled once per shape key, so two
+    instructions with the same key must render the same source.  Checked
+    over every instruction of the 60-program genprog corpus, every
+    registered workload and every server app, under all five schemes."""
+    from repro.harness.runner import SCHEMES
+    from repro.minic import compile_source
+    from repro.vm.scheme import SchemeRuntime
+    from repro.workloads import all_workloads
+    from repro.workloads.apps import (apache, memcached, nginx, sqlite_kv,
+                                      sqlite_server)
+    from tests.genprog import corpus
+
+    sources = corpus(1234, 60) + [w.source for w in all_workloads()]
+    sources += [app.SOURCE for app in (apache, memcached, nginx, sqlite_kv,
+                                       sqlite_server)]
+    rendered = {}
+    for source in sources:
+        module = compile_source(source)
+        for make_scheme in SCHEMES.values():
+            scheme = make_scheme()
+            built = scheme.instrument(module) if scheme else module.clone()
+            built.finalize()
+            track = (scheme or SchemeRuntime()).uses_register_bounds
+            for fn in built.functions.values():
+                for ins in fn.code:
+                    if ins.op not in fastpath._RENDERED_OPS:
+                        continue
+                    src = fastpath._BlockWriter(track).source([ins], 0, 1)
+                    key = fastpath._shape(ins, track)
+                    assert rendered.setdefault(key, src) == src, ins
+    assert len(rendered) > 100

@@ -1125,12 +1125,14 @@ class _BlockWriter:
                      f"if t & {1 << (bits - 1)} else t")
         elif op == ops.SITOFP:
             self.pending += 1
-            self.charge()
             self.set(f"float({self.sval('a')})")
         elif op == ops.FPTOSI:
+            # Like x86's cvttsd2si, NaN and ±inf (the values v with
+            # v - v != 0) convert to the "integer indefinite" 2**63.
             self.pending += 1
-            self.charge()
-            self.set(f"int({self.val('a')}) & {_M64}")
+            v = self.val("a")
+            self.set(f"int({v}) & {_M64} if {v} - {v} == 0 "
+                     f"else {_SIGN64}")
         else:   # FNEG
             self.pending += 1
             self.set(f"-{self.val('a')}")

@@ -48,6 +48,20 @@ class TestArithmetic:
         """
         assert result_of(src) == int((1.5 * 2.25 + 0.75) * 100)
 
+    def test_nan_and_inf_to_int_give_integer_indefinite(self):
+        """Like x86's cvttsd2si, (int) of NaN or +-inf is 2**63 (as a
+        signed 64-bit int, its minimum), not a Python exception."""
+        src = """
+        int main() {
+            double z = 0.0;
+            double i = 1.0 / z;
+            int x = (int)(i - i);
+            if (x != (int)i || x != (int)(-i)) return 1;
+            return x;
+        }
+        """
+        assert result_of(src) == -(1 << 63)
+
     def test_int_double_mixing(self):
         assert result_of("int main() { return (int)(3 / 2.0 * 100.0); }") == 150
 

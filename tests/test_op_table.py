@@ -143,7 +143,9 @@ UNARY = {
         (MAX63, 9.223372036854776e18), (B31, 2147483648.0)],
     (ops.FPTOSI, 8): [
         (1.9, 1), (-1.9, M64), (-0.0, 0), (1e19, 10000000000000000000),
-        (9.223372036854776e18, B63), (1e20, 7766279631452241920)],
+        (9.223372036854776e18, B63), (1e20, 7766279631452241920),
+        # x86 cvttsd2si's "integer indefinite".
+        (NAN, B63), (INF, B63), (-INF, B63)],
     (ops.FNEG, 8): [
         (1.0, -1.0), (0.0, -0.0), (INF, -INF), (-INF, INF), (NAN, NAN)],
 }

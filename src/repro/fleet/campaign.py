@@ -81,8 +81,6 @@ class CampaignConfig:
     recovery: str = "none"
     #: Ticks between sealed checkpoints (snapshot-taking modes).
     checkpoint_interval: int = 25
-    #: Diff recovered state against the shadow oracle at campaign end.
-    recovery_audit: bool = True
     #: Extra ``workload()`` kwargs as a tuple of pairs, e.g.
     #: ``(("set_every", 2),)`` for write-heavy memcached traffic.
     workload_kwargs: Tuple[Tuple[str, object], ...] = ()
@@ -103,10 +101,6 @@ class CampaignConfig:
     priority_mix: Tuple[Tuple[str, int], ...] = ()
     #: Client-side retry ceiling per request (overload modes).
     client_retries: int = 3
-    #: Retry-budget refill per success and bucket capacity (protected
-    #: mode; the naive client retries unconditionally).
-    retry_refill: float = 0.1
-    retry_burst: float = 4.0
 
 
 @dataclass
@@ -192,7 +186,6 @@ def run_campaign(config: CampaignConfig, telemetry=None,
                  forensics=None, obs=None) -> CampaignResult:
     """Run one seeded campaign to completion; deterministic end to end."""
     from repro import forensics as forensics_mod
-    from repro import obs as obs_mod
     from repro import telemetry as telemetry_mod
     from repro.harness.experiments import APP_CONFIG
     from repro.obs.events import hub
@@ -203,7 +196,6 @@ def run_campaign(config: CampaignConfig, telemetry=None,
         else forensics_mod.get_default()
     if forensics is not None and not forensics.enabled:
         forensics = None
-    obs = obs if obs is not None else obs_mod.get_default()
     if obs is not None and not obs.enabled:
         obs = None
     if obs is not None:
@@ -269,9 +261,7 @@ def run_campaign(config: CampaignConfig, telemetry=None,
         controls = build_controls(
             config.overload, config.scheme, config.deadline_ticks,
             priority_mix=config.priority_mix,
-            client_retries=config.client_retries,
-            retry_refill=config.retry_refill,
-            retry_burst=config.retry_burst, events=events)
+            client_retries=config.client_retries, events=events)
     balancer = Balancer(workers, supervisor, policy=config.balance,
                         queue_cap=config.queue_cap,
                         max_attempts=config.max_attempts,
@@ -308,8 +298,7 @@ def run_campaign(config: CampaignConfig, telemetry=None,
             config.recovery, mod, config.app,
             tick_cycles=config.tick_cycles,
             checkpoint_interval=config.checkpoint_interval,
-            worker_factory=_spare_worker, audit=config.recovery_audit,
-            events=events)
+            worker_factory=_spare_worker, events=events)
         for worker in workers:
             manager.attach(worker)
     result = CampaignResult(config)

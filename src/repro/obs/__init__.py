@@ -28,7 +28,7 @@ subsystem absent or disabled.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.obs.attribution import (
     COMPONENTS,
@@ -133,21 +133,6 @@ class Observability:
         return self.tracer.chrome_trace(tick_cycles=tick_cycles)
 
 
-#: Process-wide default observability, set by CLI flags; campaigns fall
-#: back to it when no explicit handle is passed (None = off, the
-#: zero-cost default).
-_default: Optional[Observability] = None
-
-
-def set_default(obs: Optional[Observability]) -> None:
-    global _default
-    _default = obs
-
-
-def get_default() -> Optional[Observability]:
-    return _default
-
-
 __all__ = [
     "AttributionLedger",
     "BurnRateEngine",
@@ -161,8 +146,6 @@ __all__ = [
     "RequestTrace",
     "TraceContext",
     "decompose_trace",
-    "get_default",
     "render_exposition",
     "scheme_tax",
-    "set_default",
 ]

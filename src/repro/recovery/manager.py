@@ -88,7 +88,7 @@ class RecoveryManager:
     def __init__(self, mode: str, app, app_name: str, tick_cycles: int,
                  checkpoint_interval: int, worker_factory,
                  sealing: Optional[SealingService] = None,
-                 audit: bool = True, events=None):
+                 events=None):
         if mode not in MODES:
             raise ValueError(f"unknown recovery mode {mode!r}; "
                              f"expected one of {MODES}")
@@ -99,7 +99,6 @@ class RecoveryManager:
         self.checkpoint_interval = checkpoint_interval
         self.worker_factory = worker_factory
         self.sealing = sealing or SealingService()
-        self.audit_enabled = audit
         #: Optional ``repro.obs.events.EventHub`` for ``recovery_*`` events.
         self.events = events
         self.snapshots = mode in (SNAPSHOT, SNAPSHOT_WAL, REPLICA)
@@ -350,25 +349,24 @@ class RecoveryManager:
     def finalize(self, workers: Dict[int, object],
                  supervisor, now: int) -> Dict[str, object]:
         """Run the end-of-campaign consistency audit and summarise."""
-        if self.audit_enabled:
-            for wid in sorted(self.shards):
-                shard = self.shards[wid]
-                worker = workers.get(wid)
-                # A shard that ended the campaign crashed, mid-restart, or
-                # dead has no live state; audit what its durable artifacts
-                # would recover to instead — durability, not uptime, is
-                # what RPO promises.
-                live = (worker is not None and worker.last_error is None
-                        and supervisor.status(wid) != "dead")
-                materialized = False
-                if not live:
-                    worker = self._materialize(wid)
-                    materialized = worker is not None
-                shard.audit_result = audit_mod.audit_shard(
-                    wid, worker, self.app, shard.history,
-                    self.worker_factory)
-                if materialized:
-                    shard.audit_result["materialized"] = True
+        for wid in sorted(self.shards):
+            shard = self.shards[wid]
+            worker = workers.get(wid)
+            # A shard that ended the campaign crashed, mid-restart, or
+            # dead has no live state; audit what its durable artifacts
+            # would recover to instead — durability, not uptime, is
+            # what RPO promises.
+            live = (worker is not None and worker.last_error is None
+                    and supervisor.status(wid) != "dead")
+            materialized = False
+            if not live:
+                worker = self._materialize(wid)
+                materialized = worker is not None
+            shard.audit_result = audit_mod.audit_shard(
+                wid, worker, self.app, shard.history,
+                self.worker_factory)
+            if materialized:
+                shard.audit_result["materialized"] = True
         return self.summary()
 
     def summary(self) -> Dict[str, object]:
@@ -407,12 +405,11 @@ class RecoveryManager:
                 "links": {wid: link.stats()
                           for wid, link in sorted(self.links.items())},
             }
-        if self.audit_enabled:
-            per_shard = {wid: shards[wid].audit_result
-                         for wid in sorted(shards)}
-            out["audit"] = {
-                "clean": all(r is not None and r.get("clean")
-                             for r in per_shard.values()),
-                "shards": per_shard,
-            }
+        per_shard = {wid: shards[wid].audit_result
+                     for wid in sorted(shards)}
+        out["audit"] = {
+            "clean": all(r is not None and r.get("clean")
+                         for r in per_shard.values()),
+            "shards": per_shard,
+        }
         return out

@@ -23,6 +23,7 @@ from repro.harness.runner import DEFAULT_SCHEMES, run_workload
 from repro.sgx import EnclaveConfig
 from repro.sgx.counters import CostModel
 from repro.telemetry import Telemetry, attribute_overhead, flame_rows
+from repro.telemetry.tracer import SIM_CLOCK, chrome_trace_document
 from repro.workloads import get
 from repro.workloads.registry import Workload
 
@@ -162,13 +163,7 @@ def profile_experiment(target: str, size: str = "XS",
         "schemes": list(schemes),
         "baseline": baseline,
         "metrics": metrics,
-        "trace": {
-            "traceEvents": trace_events,
-            "displayTimeUnit": "ms",
-            "otherData": {
-                "clock": "retired simulated instructions",
-                "dropped_events": dropped,
-            },
-        },
+        "trace": chrome_trace_document(trace_events, SIM_CLOCK,
+                                       dropped_events=dropped),
     }
     return data, "\n\n".join(chunks)

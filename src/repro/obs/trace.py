@@ -26,6 +26,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from repro.telemetry.tracer import chrome_trace_document
+
 #: Hop kinds in the order they occur on the happy path.
 HOP_KINDS = (
     "client_submit",   # request minted at the client (first arrival)
@@ -272,16 +274,10 @@ class FleetTracer:
                              **{k: v for k, v in sorted(hop.detail.items())
                                 if isinstance(v, (int, float, str, bool,
                                                   type(None)))}}})
-        return {
-            "traceEvents": events,
-            "displayTimeUnit": "ms",
-            "otherData": {
-                "clock": "campaign ticks x tick_cycles",
-                "traces": len(self.traces),
-                "dropped_traces": self.dropped_traces,
-                "dropped_hops": self.dropped_hops,
-            },
-        }
+        return chrome_trace_document(
+            events, "campaign ticks x tick_cycles", traces=len(self.traces),
+            dropped_traces=self.dropped_traces,
+            dropped_hops=self.dropped_hops)
 
     def waterfall(self, rid: int) -> str:
         """Deterministic text waterfall of one request's hop tree."""

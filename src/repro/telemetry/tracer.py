@@ -12,6 +12,17 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+#: The clock of :class:`SpanTracer` timestamps.
+SIM_CLOCK = "retired simulated instructions"
+
+
+def chrome_trace_document(events: List[Dict[str, object]], clock: str,
+                          **other: object) -> Dict[str, object]:
+    """A ``chrome://tracing``-loadable document of ``events``, whose
+    timestamps count ``clock``; ``other`` goes to ``otherData`` too."""
+    return {"traceEvents": events, "displayTimeUnit": "ms",
+            "otherData": {"clock": clock, **other}}
+
 
 class SpanTracer:
     """Nested spans + instant events on a deterministic clock.
@@ -135,11 +146,5 @@ class SpanTracer:
     def chrome_trace(self) -> Dict[str, object]:
         """The ``chrome://tracing``-loadable document."""
         self.close_open_spans()
-        return {
-            "traceEvents": list(self.events),
-            "displayTimeUnit": "ms",
-            "otherData": {
-                "clock": "retired simulated instructions",
-                "dropped_events": self.dropped,
-            },
-        }
+        return chrome_trace_document(list(self.events), SIM_CLOCK,
+                                     dropped_events=self.dropped)

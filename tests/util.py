@@ -44,8 +44,9 @@ def run_c(source: str, scheme: Optional[SchemeRuntime] = None,
 def unfused(monkeypatch):
     """``with unfused(): ...`` runs every VM on plain handlers only: one
     dispatch per instruction and no compiled blocks, so a test can diff
-    compiled blocks against the single definition of each opcode they
-    are built from."""
+    what differs between the tiers (charge batching, register caching,
+    quantum splits, exceptions mid-block).  Most plain handlers are
+    one-instruction renderings of the same emission blocks use."""
     compile_function = fastpath.compile_function
 
     def plain_only(vm, fn, consts):

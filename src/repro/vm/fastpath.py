@@ -662,10 +662,9 @@ def _make_plain(ins, consts, i, counters, vm, track_bounds, mem):
     rest (calls, returns, traps, atomics, MPX ops and the function-backed
     binops) have a maker of their own."""
     op = ins.op
-    if op in _RENDERED_OPS:
-        return _plain_make(ins, track_bounds)(counters, mem, consts, ins,
-                                              i + 1)
     npc = i + 1
+    if op in _RENDERED_OPS:
+        return _plain_make(ins, track_bounds)(counters, mem, consts, ins, npc)
     if op in _BIN_FN:
         return _make_binop(ins, consts, npc, counters)
     if op == ops.CALL:

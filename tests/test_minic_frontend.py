@@ -1,6 +1,7 @@
 """Unit tests for the MiniC lexer and parser."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import CompileError
 from repro.minic.lexer import tokenize
@@ -54,6 +55,31 @@ class TestLexer:
     def test_bad_char(self):
         with pytest.raises(CompileError):
             tokenize("a $ b")
+
+    @pytest.mark.parametrize("literal", [
+        "0x;", "0x_1", "1.2.3", ".5.5", "1e;", "1.5e+", "²", "1²",
+        r"'\x4'", r"'\q'", "'\\", "'", "'ab'",
+        r'"\xZZ"', r'"\x4"', r'"\x-1"', '"中"', '"a\nb"', '"open',
+    ])
+    def test_malformed_literal_is_compile_error_at_it(self, literal):
+        with pytest.raises(CompileError) as caught:
+            tokenize("int x;\n  x = " + literal)
+        assert (caught.value.line, caught.value.column) == (2, 7)
+
+
+#: Characters the lexer treats specially, so that generated text often
+#: reaches its number, literal and comment paths.
+_LEXER_ALPHABET = "0123456789xXeE._+-*/<>=!&|'\"\\ \t\r\nabz;²٣é中$"
+
+
+@given(st.one_of(st.text(), st.text(alphabet=_LEXER_ALPHABET)))
+@settings(max_examples=400, deadline=None)
+def test_tokenize_returns_tokens_or_raises_compile_error(source):
+    try:
+        tokens = tokenize(source)
+    except CompileError:
+        return
+    assert tokens[-1].kind == "eof"
 
 
 class TestParser:

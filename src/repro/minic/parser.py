@@ -33,16 +33,24 @@ _TYPE_KEYWORDS = {"void", "char", "int", "uint", "double", "struct", "fnptr",
                   "const", "static"}
 
 
+#: How far past the current token ``peek`` looks.  The token list is
+#: padded with this many extra copies of its ``eof`` token, so peeking
+#: from ``eof`` reads ``eof`` with a single index.  No parse moves past
+#: ``eof`` except ``parse_primary``, which then raises at once.
+_LOOKAHEAD = 2
+
+
 class Parser:
     def __init__(self, source: str, name: str = "<minic>"):
         self.tokens = tokenize(source)
+        self.tokens += self.tokens[-1:] * _LOOKAHEAD
         self.pos = 0
         self.name = name
         self.structs: Dict[str, ct.Struct] = {}
 
     # -- token helpers ----------------------------------------------------
     def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+        return self.tokens[self.pos + ahead]
 
     def next(self) -> Token:
         token = self.tokens[self.pos]
@@ -50,12 +58,14 @@ class Parser:
         return token
 
     def at(self, kind: str, value: object = None) -> bool:
-        token = self.peek()
+        token = self.tokens[self.pos]
         return token.kind == kind and (value is None or token.value == value)
 
     def accept(self, kind: str, value: object = None) -> Optional[Token]:
-        if self.at(kind, value):
-            return self.next()
+        token = self.tokens[self.pos]
+        if token.kind == kind and (value is None or token.value == value):
+            self.pos += 1
+            return token
         return None
 
     def expect(self, kind: str, value: object = None) -> Token:

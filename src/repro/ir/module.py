@@ -7,6 +7,7 @@ the interpreter executes.  Passes run on the block form and re-finalize.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Sequence
 
 from repro.errors import IRVerifyError
@@ -107,10 +108,13 @@ class Function:
         """Operand encoding for constant ``value`` (pooled).
 
         The pool key includes the Python type: ``1`` and ``1.0`` compare
-        equal but are distinct constants (int vs float semantics).
+        equal but are distinct constants (int vs float semantics).  A
+        float's key also carries its sign, since ``-0.0 == 0.0`` too.
         """
         try:
             key = (type(value).__name__, value)
+            if type(value) is float:
+                key += (math.copysign(1.0, value),)
             slot = self._const_index.get(key)
         except TypeError:                     # unhashable — don't pool
             key = None

@@ -34,6 +34,14 @@ class TestBuilder:
         assert b.k(42) == b.k(42)
         assert b.k(42) != b.k(43)
 
+    def test_signed_zeros_pooled_apart(self):
+        fn, b = _simple_fn()
+        neg, pos = b.k(-0.0), b.k(0.0)
+        assert neg != pos
+        assert [repr(fn.consts[-op - 1]) for op in (neg, pos)] == \
+            ["-0.0", "0.0"]
+        assert b.k(0.0) == pos and b.k(-0.0) == neg
+
     def test_const_encoding_negative(self):
         fn, b = _simple_fn()
         op = b.k(7)

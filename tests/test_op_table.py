@@ -81,7 +81,8 @@ BINOPS = {
         (MAX63, 62, 1), (M64, 70, M64), (B63, 129, 0xC000_0000_0000_0000)],
     ops.FADD: [
         (1.5, 2.25, 3.75), (INF, -INF, NAN), (INF, 1.0, INF),
-        (NAN, 1.0, NAN), (-0.0, -0.0, -0.0), (-INF, -1.0, -INF)],
+        (NAN, 1.0, NAN), (-0.0, -0.0, -0.0), (-INF, -1.0, -INF),
+        (-0.0, 0.0, 0.0), (0.0, -0.0, 0.0)],
     ops.FSUB: [
         (INF, INF, NAN), (1.0, INF, -INF), (NAN, NAN, NAN),
         (0.0, 0.0, 0.0), (-0.0, -0.0, 0.0), (-0.0, 1.0, -1.0)],

@@ -16,7 +16,7 @@ Key properties this model reproduces:
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Deque, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Deque, Dict, Tuple
 
 from repro.asan.shadow import (
     FREED,
@@ -112,17 +112,6 @@ class ASanScheme(SchemeRuntime):
         self.poison(vm, user + rounded, self.redzone, HEAP_RIGHT_RZ)
         self._live[user] = (raw, size)
         self.redzone_bytes += 2 * self.redzone
-        return user
-
-    def calloc(self, vm: "VM", count: int, size: int) -> int:
-        total = max(int(count * size), 1)
-        user = self.malloc(vm, total)
-        tracer, vm.space.tracer = vm.space.tracer, None
-        try:
-            vm.space.fill(user, 0, total)
-        finally:
-            vm.space.tracer = tracer
-        vm.touch_range(user, total, True)
         return user
 
     def realloc(self, vm: "VM", ptr: int, size: int) -> int:

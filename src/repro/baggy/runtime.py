@@ -109,17 +109,6 @@ class BaggyScheme(SchemeRuntime):
             registry.histogram("baggy.alloc_order").observe(1 << order)
         return base
 
-    def calloc(self, vm: "VM", count: int, size: int) -> int:
-        total = max(int(count * size), 1)
-        base = self.malloc(vm, total)
-        tracer, vm.space.tracer = vm.space.tracer, None
-        try:
-            vm.space.fill(base, 0, total)
-        finally:
-            vm.space.tracer = tracer
-        vm.touch_range(base, total, True)
-        return base
-
     def realloc(self, vm: "VM", ptr: int, size: int) -> int:
         base = ptr & ADDRESS_MASK
         if base == 0:

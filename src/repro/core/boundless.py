@@ -136,11 +136,8 @@ class BoundlessCache:
         chunk = self._alloc_chunk(vm)
         vm.counters.boundless_allocs += 1
         # Fresh chunks must read as zeros even after reuse.
-        tracer, vm.space.tracer = vm.space.tracer, None
-        try:
-            vm.space.fill(chunk, 0, self.chunk_size)
-        finally:
-            vm.space.tracer = tracer
+        with vm.space.untraced() as space:
+            space.fill(chunk, 0, self.chunk_size)
         self._chunks[key] = chunk
         self._pinned[tid] = key
         return chunk + offset

@@ -114,11 +114,8 @@ class SGXBoundsScheme(SchemeRuntime):
     def calloc(self, vm: "VM", count: int, size: int) -> int:
         total = max(int(count * size), 1)
         base = vm.enclave.heap.malloc(total + self._metadata_footprint())
-        tracer, vm.space.tracer = vm.space.tracer, None
-        try:
-            vm.space.fill(base, 0, total)
-        finally:
-            vm.space.tracer = tracer
+        with vm.space.untraced() as space:
+            space.fill(base, 0, total)
         vm.touch_range(base, total, True)
         return self._tag_new_object(vm, base, total, OBJ_HEAP)
 

@@ -49,7 +49,6 @@ class CampaignConfig:
     balance: str = "round-robin"
     queue_cap: int = 2
     max_attempts: int = 2
-    hedge_stranded: bool = True
     breaker_threshold: int = 3
     breaker_cooldown: int = 25
     crash_loop_k: int = 3
@@ -142,7 +141,9 @@ class CampaignResult:
                 "tick_cycles": cfg.tick_cycles,
                 "watchdog_budget": cfg.watchdog_budget,
                 "rewarm_scale": cfg.rewarm_scale, "balance": cfg.balance,
-                "hedge_stranded": cfg.hedge_stranded,
+                # Stranded queues are always hedged; the key stays so
+                # result files keep their shape.
+                "hedge_stranded": True,
             },
             "ticks": self.ticks,
             "slo": self.slo,
@@ -185,19 +186,11 @@ def _profile(app: str):
 def run_campaign(config: CampaignConfig, telemetry=None,
                  forensics=None, obs=None) -> CampaignResult:
     """Run one seeded campaign to completion; deterministic end to end."""
-    from repro import forensics as forensics_mod
-    from repro import telemetry as telemetry_mod
     from repro.harness.experiments import APP_CONFIG
+    from repro.harness.runner import default_sinks
     from repro.obs.events import hub
 
-    telemetry = telemetry if telemetry is not None \
-        else telemetry_mod.get_default()
-    forensics = forensics if forensics is not None \
-        else forensics_mod.get_default()
-    if forensics is not None and not forensics.enabled:
-        forensics = None
-    if obs is not None and not obs.enabled:
-        obs = None
+    telemetry, forensics = default_sinks(telemetry, forensics)
     if obs is not None:
         obs.begin_campaign(config, forensics=forensics)
     events = hub(telemetry, forensics, obs)
@@ -265,7 +258,6 @@ def run_campaign(config: CampaignConfig, telemetry=None,
     balancer = Balancer(workers, supervisor, policy=config.balance,
                         queue_cap=config.queue_cap,
                         max_attempts=config.max_attempts,
-                        hedge_stranded=config.hedge_stranded,
                         breaker_threshold=config.breaker_threshold,
                         breaker_cooldown=config.breaker_cooldown,
                         admission=controls.admission
@@ -273,8 +265,7 @@ def run_campaign(config: CampaignConfig, telemetry=None,
                         tick_cycles=config.tick_cycles
                         if controls is not None else None,
                         events=events)
-    registry = telemetry.registry \
-        if (telemetry is not None and telemetry.enabled) else None
+    registry = telemetry.registry if telemetry is not None else None
     slo = SLOTracker(config.tick_cycles, registry=registry,
                      anomalies=forensics.monitor
                      if forensics is not None else None,

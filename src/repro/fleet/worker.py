@@ -18,20 +18,11 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from repro.errors import (
-    ControlFlowHijack,
-    OutOfMemory,
-    ReproError,
-    RequestAborted,
-    SegmentationFault,
-    TrapError,
-    WatchdogTimeout,
-)
+from repro.errors import ReproError, WatchdogTimeout
 from repro.faults import FaultInjector, derive
-from repro.harness.runner import build_server_vm
+from repro.harness.runner import default_sinks, make_scheme
 from repro.obs import events as events_mod
 from repro.vm import machine as vm_mod
-from repro.vm import policy as violation_policy
 from repro.workloads import NetworkSim
 from repro.workloads.netsim import ERROR_MARKER, REJECTED_MARKER
 
@@ -76,15 +67,14 @@ class EnclaveWorker:
         self.epc_spike_rate = epc_spike_rate
         self.faults_seed = faults_seed
         self.telemetry = telemetry
-        self.forensics = forensics \
-            if (forensics is not None and forensics.enabled) else None
+        self.forensics = forensics
         #: Recorder-only hub for each incarnation's NetworkSim (fleet
         #: telemetry never counted net events); stateless, so shared.
         self._net_events = events_mod.hub(forensics=self.forensics)
         #: Optional ``repro.obs.Observability``; when attached, each
         #: completed service attempt reports its counter delta (exact
         #: because workers are depth-1) for critical-path attribution.
-        self.obs = obs if (obs is not None and obs.enabled) else None
+        self.obs = obs
         #: Predicate classifying request payloads as state-mutating; only
         #: set when the campaign runs with stateful recovery enabled.
         self.mutates = mutates
@@ -113,10 +103,14 @@ class EnclaveWorker:
         does not change."""
         self.incarnations += 1
         if self.vm is None:
-            self.vm, self.scheme = build_server_vm(
-                self.module, self.scheme_name, config=self.config,
-                scheme_kwargs=self.scheme_kwargs, policy=self.policy,
-                telemetry=self.telemetry, forensics=self.forensics)
+            # The VM observes the process-wide sinks when the worker was
+            # given none (a recovery standby under ``--log-out``).
+            self.scheme = make_scheme(self.scheme_name, self.scheme_kwargs,
+                                      self.policy)
+            self.vm, image = vm_mod.build_vm(
+                self.module, self.scheme, self.config,
+                *default_sinks(self.telemetry, self.forensics))
+            self.vm.load(image)
             self.vm.snapshot()
         else:
             self.vm.reset()
@@ -144,7 +138,6 @@ class EnclaveWorker:
         vm.new_thread(main_fn, (SERVER_ITERATIONS, 1))
         self.inflight: Optional[Tuple[int, bytes]] = None
         self.last_error: Optional[Exception] = None
-        self._fault_thread = None
         self._dispatch_instr = 0
         self._sent_seen = 0
         self._hang_ticks = 0
@@ -242,7 +235,7 @@ class EnclaveWorker:
             # A stuck enclave spins: the cycles pass, nothing completes.
             vm.charge(cycle_budget)
             if self._watchdog_fired():
-                return self._crash_report("WatchdogTimeout", outcomes)
+                return self._crash_report(outcomes)
             return TickReport(outcomes)
         if not any(t.state == vm_mod.RUNNABLE for t in vm.threads):
             return TickReport(self._drain_replies())   # parked in recv
@@ -253,33 +246,13 @@ class EnclaveWorker:
             if thread is None:
                 break                      # parked in blocking recv
             try:
-                vm._step(thread, vm.quantum)
-            except RequestAborted as drop:
-                vm.current = None
-                if not vm._recover_request(thread, drop.violation):
-                    self.last_error = drop.violation
-                    self._fault_thread = thread
-                    return self._crash_report(
-                        type(drop.violation).__name__, outcomes)
-            except (SegmentationFault, ControlFlowHijack, TrapError) as err:
-                vm.current = None
-                if (vm.scheme.policy != violation_policy.DROP_REQUEST
-                        or not vm._recover_request(thread, err)):
-                    self.last_error = err
-                    self._fault_thread = thread
-                    return self._crash_report(type(err).__name__, outcomes)
-            except OutOfMemory as err:
-                self.last_error = err
-                self._fault_thread = thread
-                return self._crash_report("OOM", outcomes)
+                vm.step(thread, vm.quantum)
             except ReproError as err:
                 self.last_error = err
-                self._fault_thread = thread
-                return self._crash_report(type(err).__name__, outcomes)
+                return self._crash_report(outcomes, thread)
             outcomes.extend(self._drain_replies())
             if self._watchdog_fired():
-                self._fault_thread = thread
-                return self._crash_report("WatchdogTimeout", outcomes)
+                return self._crash_report(outcomes, thread)
         outcomes.extend(self._drain_replies())
         return TickReport(outcomes)
 
@@ -293,9 +266,10 @@ class EnclaveWorker:
         Only the recovery machinery calls this, and only while the worker
         is idle — control traffic never races client requests and never
         arms the watchdog.  Cycles land on the enclave clock like any
-        other work; the caller converts them into stall ticks.  Faults
-        propagate as :class:`repro.errors.ReproError` for the caller to
-        translate into a failed recovery.
+        other work; the caller converts them into stall ticks.  A fault
+        is contained as a client request's is (:meth:`VM.step`); one that
+        is not propagates as :class:`repro.errors.ReproError` for the
+        caller to translate into a failed recovery.
         """
         if self.inflight is not None:
             raise RuntimeError("drive_control on a busy worker")
@@ -309,7 +283,7 @@ class EnclaveWorker:
                            if t.state == vm_mod.RUNNABLE), None)
             if thread is None:
                 break                      # parked back in blocking recv
-            vm._step(thread, vm.quantum)
+            vm.step(thread, vm.quantum)
             if vm.enclave.cycles() - start > max_cycles:
                 raise RuntimeError(
                     f"control request runaway on worker {self.wid}")
@@ -361,19 +335,17 @@ class EnclaveWorker:
         self.served += 1
         return [(rid, SERVED)]
 
-    def _crash_report(self, reason: str,
-                      outcomes: List[Tuple[int, str]]) -> TickReport:
+    def _crash_report(self, outcomes: List[Tuple[int, str]],
+                      thread=None) -> TickReport:
+        """End the incarnation on :attr:`last_error`, raised while
+        ``thread`` ran (None for a hang)."""
         self.crashes += 1
         self.total_cycles += self.vm.enclave.cycles()
         self.total_epc_faults += self.vm.counters.epc_faults
-        stranded = self.inflight[0] if self.inflight is not None else None
-        if (self.forensics is not None and self.last_error is not None
-                and not getattr(self.last_error,
-                                "_postmortem_captured", False)):
-            payload = self.inflight[1] if self.inflight is not None else None
-            self.forensics.capture(
-                self.vm, self.last_error, reason=reason, rid=stranded,
-                payload=payload, wid=self.wid, thread=self._fault_thread)
+        rid, payload = self.inflight or (None, None)
+        reason = vm_mod.report_crash(
+            self.vm, self.last_error, self.forensics, rid=rid,
+            payload=payload, wid=self.wid, thread=thread)
         self.inflight = None
         self._obs_snap = None     # cycles died with the incarnation
-        return TickReport(outcomes, crash=reason, stranded=stranded)
+        return TickReport(outcomes, crash=reason, stranded=rid)

@@ -17,7 +17,7 @@ Three cooperating pieces (see DESIGN.md, "Forensics & flight recorder"):
 
 Like telemetry, forensics is off by default and zero-cost when off:
 records shared with other sinks come through :mod:`repro.obs.events`,
-whose hub is not built without an enabled handle, other hooks cost one
+whose hub is not built without an attached handle, other hooks cost one
 ``is None`` test, and every capture path reads memory with the cache/EPC
 tracer detached and charges nothing.
 """
@@ -55,18 +55,16 @@ POSTMORTEM_LAST_N = 32
 class Forensics:
     """One forensics context: flight recorder + postmortems + anomalies.
 
-    ``enabled=False`` constructs a permanently inert handle: attaching it
-    to a VM is a no-op and the VM keeps its forensics-free fast paths —
-    the exact contract :class:`repro.telemetry.Telemetry` honours.
+    Off means no handle: a VM given None keeps its forensics-free fast
+    paths — the contract :class:`repro.telemetry.Telemetry` honours.
     """
 
-    def __init__(self, enabled: bool = True, capacity: int = 4096,
+    def __init__(self, capacity: int = 4096,
                  max_postmortems: int = MAX_POSTMORTEMS,
                  last_n: int = POSTMORTEM_LAST_N,
                  epc_faults_per_tick: int = 200,
                  latency_factor: float = 4.0,
                  crash_loop_window: int = 60):
-        self.enabled = enabled
         self.recorder = FlightRecorder(capacity)
         self.monitor = AnomalyMonitor(
             self.recorder, epc_faults_per_tick=epc_faults_per_tick,

@@ -45,14 +45,11 @@ SHADOW_WINDOW = 8
 def _peek(vm, address: int, size: int) -> Optional[bytes]:
     """Read simulated memory without charging the cache/EPC model;
     None when the range is unmapped (forensics must never crash)."""
-    space = vm.space
-    tracer, space.tracer = space.tracer, None
     try:
-        return space.read(address & ADDRESS_MASK, size)
+        with vm.space.untraced() as space:
+            return space.read(address, size)
     except ReproError:
         return None
-    finally:
-        space.tracer = tracer
 
 
 def _peek_u32(vm, address: int) -> Optional[int]:

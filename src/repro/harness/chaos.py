@@ -165,7 +165,7 @@ def chaos_availability(apps: Sequence[str] = ("memcached", "nginx", "apache"),
                         "status": r.crashed or "ok",
                     }
                     data[app_name][(scheme, policy, rate)] = record
-                    if telemetry is not None and telemetry.enabled:
+                    if telemetry is not None:
                         telemetry.registry.gauge(
                             f"chaos.{app_name}.{scheme}.{policy}"
                             f".rate_{rate}.availability").set(availability)

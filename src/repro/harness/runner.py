@@ -10,18 +10,19 @@ A run that dies with ``OutOfMemory`` is recorded as crashed — that is the
 from __future__ import annotations
 
 import warnings
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import forensics as forensics_mod
 from repro import telemetry as telemetry_mod
 from repro.asan import ASanScheme
 from repro.baggy import BaggyScheme
 from repro.core import SGXBoundsScheme
-from repro.errors import BoundsViolation, OutOfMemory, ReproError
+from repro.errors import BoundsViolation, ReproError
 from repro.minic import compile_source
 from repro.mpx import MPXScheme
-from repro.sgx import Enclave, EnclaveConfig
+from repro.sgx import EnclaveConfig
 from repro.vm import VM
+from repro.vm.machine import build_vm, report_crash
 from repro.vm.scheme import SchemeRuntime
 from repro.workloads import NetworkSim, Workload
 
@@ -82,13 +83,23 @@ def _finish(result: RunResult, vm: VM,
     return result
 
 
-def instrument_and_finalize(module, scheme: Optional[SchemeRuntime]):
-    """The compile-side pipeline: ``scheme``'s passes (a plain clone for
-    native) then finalize.  ``module`` is never mutated, and nothing at
-    run time mutates the finalized image, so one image can be loaded by
-    any number of VMs."""
-    image = scheme.instrument(module) if scheme else module.clone()
-    return image.finalize()
+def default_sinks(telemetry=None, forensics=None) -> Tuple:
+    """``(telemetry, forensics)``, each falling back to the process-wide
+    default that the CLI's artifact flags set (normally None)."""
+    return (telemetry if telemetry is not None
+            else telemetry_mod.get_default(),
+            forensics if forensics is not None
+            else forensics_mod.get_default())
+
+
+def make_scheme(scheme_name: str, scheme_kwargs: Optional[Dict] = None,
+                policy: Optional[str] = None) -> Optional[SchemeRuntime]:
+    """A fresh runtime for a registered scheme (None for native);
+    ``policy``, when given, is the default violation policy."""
+    kwargs = dict(scheme_kwargs or {})
+    if policy is not None:
+        kwargs.setdefault("policy", policy)
+    return SCHEMES[scheme_name](**kwargs)
 
 
 def run_workload(workload: Workload, scheme_name: str,
@@ -107,60 +118,19 @@ def run_workload(workload: Workload, scheme_name: str,
     size = size or workload.default_size
     args = workload.args_for(size, threads)
     result = RunResult(workload.name, scheme_name, size, args[1])
-    scheme = SCHEMES[scheme_name](**(scheme_kwargs or {}))
-    module = instrument_and_finalize(
-        compile_source(workload.source, workload.name), scheme)
-    enclave = Enclave(config) if config is not None else Enclave()
-    telemetry = telemetry if telemetry is not None \
-        else telemetry_mod.get_default()
-    forensics = forensics if forensics is not None \
-        else forensics_mod.get_default()
-    vm = VM(enclave=enclave, scheme=scheme,
-            max_instructions=max_instructions, telemetry=telemetry,
-            forensics=forensics)
+    scheme = make_scheme(scheme_name, scheme_kwargs)
+    telemetry, forensics = default_sinks(telemetry, forensics)
+    vm, image = build_vm(
+        compile_source(workload.source, workload.name), scheme, config,
+        telemetry, forensics, max_instructions=max_instructions)
     if vm.telemetry is not None:
         vm.telemetry.label_run(f"{workload.name}/{scheme_name}/{size}")
     try:
-        vm.load(module)
+        vm.load(image)
         result.result = vm.run("main", args)
-    except OutOfMemory:
-        result.crashed = "OOM"
     except ReproError as err:
-        result.crashed = type(err).__name__
-        if vm.forensics is not None:
-            vm.forensics.capture(vm, err)
+        result.crashed = report_crash(vm, err, vm.forensics)
     return _finish(result, vm, scheme)
-
-
-def build_server_vm(module, scheme_name: str,
-                    config: Optional[EnclaveConfig] = None,
-                    scheme_kwargs: Optional[Dict] = None,
-                    policy: Optional[str] = None,
-                    seed: Optional[int] = None, telemetry=None,
-                    forensics=None):
-    """Shared server build path: scheme → instrument → Enclave → VM.
-
-    ``module`` is a *compiled but uninstrumented* MiniC module; it is never
-    mutated (instrumentation clones), so one compile can feed many VMs.
-    Returns ``(vm, scheme)`` with the instrumented image already loaded
-    (``vm.program.module``); the caller attaches net/faults and calls
-    ``run``.  :mod:`repro.fleet` builds each worker's VM here once and
-    restarts a crashed worker with ``VM.reset``.
-    """
-    kwargs = dict(scheme_kwargs or {})
-    if policy is not None and scheme_name != "native":
-        kwargs.setdefault("policy", policy)
-    scheme = SCHEMES[scheme_name](**kwargs)
-    image = instrument_and_finalize(module, scheme)
-    enclave = Enclave(config) if config is not None else Enclave()
-    telemetry = telemetry if telemetry is not None \
-        else telemetry_mod.get_default()
-    forensics = forensics if forensics is not None \
-        else forensics_mod.get_default()
-    vm = VM(enclave=enclave, scheme=scheme, seed=seed, telemetry=telemetry,
-            forensics=forensics)
-    vm.load(image)
-    return vm, scheme
 
 
 def run_server(source: str, requests_by_conn: Sequence[Sequence[bytes]],
@@ -178,13 +148,14 @@ def run_server(source: str, requests_by_conn: Sequence[Sequence[bytes]],
     backoff, seed); ``faults`` attaches a
     :class:`repro.faults.FaultInjector`; ``seed`` perturbs the VM's
     thread scheduler.  All default to the exact original behaviour.
+    Sinks default to the process-wide ones, as in :func:`run_workload`.
     """
     result = RunResult(name, scheme_name, "-", threads)
-    module = compile_source(source, name)
-    vm, scheme = build_server_vm(module, scheme_name, config=config,
-                                 scheme_kwargs=scheme_kwargs, policy=policy,
-                                 seed=seed, telemetry=telemetry,
-                                 forensics=forensics)
+    scheme = make_scheme(scheme_name, scheme_kwargs, policy)
+    telemetry, forensics = default_sinks(telemetry, forensics)
+    vm, image = build_vm(compile_source(source, name), scheme, config,
+                         telemetry, forensics, seed=seed)
+    vm.load(image)
     vm.net = net if net is not None else NetworkSim()
     vm.faults = faults
     if vm.telemetry is not None:
@@ -197,14 +168,10 @@ def run_server(source: str, requests_by_conn: Sequence[Sequence[bytes]],
         vm.net.connect(*conn_requests)
     try:
         result.result = vm.run("main", (n, threads))
-    except OutOfMemory:
-        result.crashed = "OOM"
     except ReproError as err:
-        result.crashed = type(err).__name__
+        result.crashed = report_crash(vm, err, vm.forensics)
         if isinstance(err, BoundsViolation):
             result.violation = err.context()
-        if vm.forensics is not None:
-            vm.forensics.capture(vm, err)
     out = _finish(result, vm, scheme)
     out.net = vm.net
     if scheme is not None and scheme.violation_log and out.violation is None:

@@ -59,6 +59,24 @@ class Region:
         return f"Region({self.name!r}, 0x{self.start:08x}..0x{self.end:08x})"
 
 
+class _Untraced:
+    """:meth:`AddressSpace.untraced`: a class rather than a generator, as
+    natives enter it on every bulk copy."""
+
+    __slots__ = ("space", "tracer")
+
+    def __init__(self, space: "AddressSpace") -> None:
+        self.space = space
+
+    def __enter__(self) -> "AddressSpace":
+        space = self.space
+        self.tracer, space.tracer = space.tracer, None
+        return space
+
+    def __exit__(self, *exc) -> None:
+        self.space.tracer = self.tracer
+
+
 class AddressSpace:
     """Byte-addressable sparse memory with page permissions.
 
@@ -94,6 +112,13 @@ class AddressSpace:
         #: Optional hook called as ``tracer(address, size, is_write)`` on
         #: every data access; installed by the SGX cost model.
         self.tracer: Optional[Callable[[int, int, bool], None]] = None
+
+    def untraced(self) -> "_Untraced":
+        """A context manager that detaches :attr:`tracer` for its
+        ``with`` body, so the body's accesses charge nothing (program
+        load, a native's bulk copy after it charged the lines itself, a
+        forensics read).  It yields this space."""
+        return _Untraced(self)
 
     # ------------------------------------------------------------------
     # The page-run map

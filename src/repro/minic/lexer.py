@@ -58,6 +58,9 @@ _TOKEN = re.compile(
     ]) + r")[ \t\r]*")
 
 
+_HEX2 = re.compile(r"[0-9a-fA-F]{2}")
+
+
 class Token(NamedTuple):
     kind: str      # 'kw', 'ident', 'int', 'float', 'str', 'char', 'op', 'eof'
     value: object
@@ -138,32 +141,39 @@ def _quoted(source: str, i: int, line: int, col: int
     j = i + 1
     try:
         if what == "char":
-            value, j = _element(source, j, line, col)
+            value, j = _element(source, j, what, line, col)
+            if value > 0xFF:
+                raise ValueError(value)
             if source[j] == "'":
                 return "char", value, j + 1
         else:
             chars = bytearray()
             while source[j] != '"':
-                if source[j] == "\n":
-                    raise CompileError("newline in string literal", line, col)
-                code, j = _element(source, j, line, col)
+                code, j = _element(source, j, what, line, col)
                 chars.append(code)
             return "str", bytes(chars), j + 1
-    except ValueError:     # a bad \x escape, or a string character past 0xff
+    except ValueError:     # a bad \x escape, or a character past 0xff
         raise CompileError(f"malformed {what} literal", line, col) from None
     except IndexError:     # the source ended first
         pass
     raise CompileError(f"unterminated {what} literal", line, col)
 
 
-def _element(source: str, j: int, line: int, col: int) -> Tuple[int, int]:
-    """The character or escape at ``j`` of a literal: its code and end."""
+def _element(source: str, j: int, what: str, line: int,
+             col: int) -> Tuple[int, int]:
+    """The character or escape at ``j`` of a ``what`` literal: its code
+    and end.  ``\\x`` takes exactly two ASCII hex digits."""
     c = source[j]
+    if c == "\n":
+        raise CompileError(f"newline in {what} literal", line, col)
     if c != "\\":
         return ord(c), j + 1
     esc = source[j + 1]
     if esc == "x":
-        return int(source[j + 2:j + 4], 16), j + 4
+        digits = source[j + 2:j + 4]
+        if not _HEX2.fullmatch(digits):
+            raise ValueError(digits)
+        return int(digits, 16), j + 4
     if esc in _ESCAPES:
         return _ESCAPES[esc], j + 2
     raise CompileError(f"bad escape \\{esc}", line, col)

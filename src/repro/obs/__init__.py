@@ -21,9 +21,9 @@ Four cooperating pieces (see DESIGN.md, "Request observatory"):
 Balancer hops and the failover note arrive through the
 :mod:`~repro.obs.events` hub, which all three sinks share.  The
 observatory is off by default and zero-cost when off: no hub is built
-without an enabled handle, attaching one never charges simulated
+without an attached handle, attaching one never charges simulated
 counters, and default campaign output is byte-identical with the
-subsystem absent or disabled.
+subsystem absent.
 """
 
 from __future__ import annotations
@@ -44,19 +44,16 @@ from repro.obs.trace import HOP_KINDS, FleetTracer, RequestTrace, TraceContext
 class Observability:
     """One campaign's observability context: tracer + ledger + alerts.
 
-    ``enabled=False`` constructs a permanently inert handle — attaching
-    it anywhere is a no-op and every component keeps its obs-free fast
-    path, the exact contract :class:`repro.telemetry.Telemetry` and
+    Off means no handle: every component given None keeps its obs-free
+    fast path, the contract :class:`repro.telemetry.Telemetry` and
     :class:`repro.forensics.Forensics` honour.
     """
 
-    def __init__(self, enabled: bool = True, seed: int = 0,
-                 max_traces: int = 100_000, rules=DEFAULT_RULES):
-        self.enabled = enabled
+    def __init__(self, seed: int = 0, max_traces: int = 100_000,
+                 rules=DEFAULT_RULES):
         self.tracer = FleetTracer(seed=seed, max_traces=max_traces)
         self.attribution = AttributionLedger()
         self.burn = BurnRateEngine(rules=rules)
-        self._bound = False
 
     # -- campaign lifecycle ---------------------------------------------
     def begin_campaign(self, config, forensics=None) -> None:
@@ -64,7 +61,6 @@ class Observability:
         fire/clear events into the campaign's flight recorder."""
         self.tracer.seed = config.seed
         self.burn.recorder = forensics
-        self._bound = True
 
     # -- request lifecycle hooks (campaign/balancer/worker call these) --
     def on_submit(self, request, now: int) -> None:

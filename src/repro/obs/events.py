@@ -7,8 +7,8 @@ the same occurrences.  An emitter reports each one once, through
 files it.  :data:`KINDS` lists every event kind exactly once, and
 DESIGN.md's "Event model" section mirrors it.
 
-Zero cost when off: :func:`hub` returns None unless an *enabled* handle
-is attached, so on the default path an emitter does one ``is None``
+Zero cost when off: :func:`hub` returns None unless a handle is
+attached, so on the default path an emitter does one ``is None``
 test and nothing else.
 """
 
@@ -130,8 +130,7 @@ def _tracer(obs, kind, row, ts, wid, rid, fields) -> None:
 
 class EventHub:
     """Routes each emitted event to the sinks :data:`KINDS` files it
-    under.  Build it through :func:`hub`, which passes only enabled
-    handles."""
+    under.  Build it through :func:`hub`."""
 
     def __init__(self, telemetry=None, forensics=None, obs=None):
         self.routes = {
@@ -152,8 +151,8 @@ class EventHub:
 
 
 def hub(telemetry=None, forensics=None, obs=None) -> Optional[EventHub]:
-    """The hub over every attached *enabled* handle; None when there is
-    none, so the off path builds nothing."""
-    live = [h if (h is not None and h.enabled) else None
-            for h in (telemetry, forensics, obs)]
-    return EventHub(*live) if any(h is not None for h in live) else None
+    """The hub over every attached handle; None when there is none, so
+    the off path builds nothing."""
+    if telemetry is None and forensics is None and obs is None:
+        return None
+    return EventHub(telemetry, forensics, obs)

@@ -34,11 +34,11 @@ from repro.faults import derive
 from repro.forensics import Forensics
 from repro.harness.chaos import PROFILES
 from repro.harness.experiments import APP_CONFIG
-from repro.harness.runner import SCHEMES, run_server
+from repro.harness.runner import make_scheme, run_server
 from repro.minic import compile_source
 from repro.redteam.templates import AttackSpec
-from repro.vm import VM
 from repro.vm import policy as violation_policy
+from repro.vm.machine import build_vm
 from repro.workloads import NetworkSim
 
 DETECTED = "detected"
@@ -94,14 +94,11 @@ def _postmortem_digest(forensics: Optional[Forensics]) -> Dict[str, object]:
 def triage_program(spec: AttackSpec, scheme_name: str,
                    policy: str) -> TriageRecord:
     """Run a program-kind attack under one scheme × policy."""
-    scheme = (SCHEMES[scheme_name](policy=policy)
-              if scheme_name != "native" else None)
-    module = compile_source(spec.source, spec.name)
-    module = scheme.instrument(module) if scheme else module.clone()
-    module.finalize()
-    forensics = Forensics(enabled=True)
-    vm = VM(scheme=scheme, forensics=forensics)
-    vm.load(module)
+    scheme = make_scheme(scheme_name, policy=policy)
+    forensics = Forensics()
+    vm, image = build_vm(compile_source(spec.source, spec.name), scheme,
+                         forensics=forensics)
+    vm.load(image)
     evidence: Dict[str, object] = {}
     label = NO_EFFECT
     try:

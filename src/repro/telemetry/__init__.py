@@ -14,7 +14,7 @@ Three cooperating pieces (see DESIGN.md, "Telemetry & attribution"):
 
 Telemetry is off by default and zero-cost when off: events shared with
 other sinks come through :mod:`repro.obs.events`, whose hub is not
-built without an enabled handle, other hooks cost one ``is None`` test,
+built without an attached handle, other hooks cost one ``is None`` test,
 and attaching a handle never changes simulated counters.
 """
 

@@ -13,7 +13,7 @@ in the exported Chrome trace.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Dict
 
 from repro.errors import BoundsViolation
 from repro.telemetry.metrics import MetricsRegistry, exponential_bounds
@@ -30,12 +30,11 @@ SPAN_BOUNDS = exponential_bounds(start=16, factor=2, count=22)
 class Telemetry:
     """One observability context: metrics, spans, per-function profile.
 
-    ``enabled=False`` constructs a permanently inert handle: attaching it
-    to a VM is a no-op and the VM keeps its telemetry-free fast paths.
+    Off means no handle: a VM given None keeps its telemetry-free fast
+    paths.
     """
 
-    def __init__(self, enabled: bool = True, max_events: int = 200_000):
-        self.enabled = enabled
+    def __init__(self, max_events: int = 200_000):
         self.registry = MetricsRegistry()
         self.tracer = SpanTracer(max_events=max_events)
         self.functions = FunctionProfile()

@@ -49,6 +49,7 @@ plain handler for every index.
 
 from __future__ import annotations
 
+import math
 import struct
 from typing import Callable, Dict, List, Optional
 
@@ -333,7 +334,13 @@ def _urem(a: int, b: int) -> int:
 
 
 def _fdiv(a: float, b: float) -> float:
-    return a / b if b != 0.0 else float("inf") * (1 if a >= 0 else -1)
+    """IEEE division.  Over a zero divisor, a NaN or zero dividend gives
+    NaN and any other an infinity signed by both operands."""
+    if b != 0.0:
+        return a / b
+    if a != a or a == 0.0:
+        return math.nan
+    return math.copysign(math.inf, a) * math.copysign(1.0, b)
 
 
 _BIN_FN = {ops.SDIV: _sdiv, ops.UDIV: _udiv, ops.SREM: _srem,

@@ -115,11 +115,8 @@ def _memcmp(vm, thread, args):
 def _cstring(vm, ptr: int, arg_index: int) -> Tuple[int, bytes]:
     """Read a NUL-terminated string, bounds-checking the bytes read."""
     address = vm.scheme.strip(ptr)
-    tracer, vm.space.tracer = vm.space.tracer, None
-    try:
-        data = vm.space.read_cstring(address)
-    finally:
-        vm.space.tracer = tracer
+    with vm.space.untraced() as space:
+        data = space.read_cstring(address)
     # Validate the range we actually consumed (including the NUL).
     _range(vm, ptr, len(data) + 1, False, arg_index)
     vm.touch_range(address, len(data) + 1, False)

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.errors import IRVerifyError, OutOfMemory
 from repro.ir.instructions import FuncRef, GlobalRef
-from repro.ir.module import Function, GlobalVar, Module
+from repro.ir.module import Function, Module
 from repro.memory.address_space import PERM_RW
 from repro.memory.layout import (
     CODE_BASE,
@@ -106,10 +106,9 @@ def load_program(vm: "VM", module: Module) -> Program:
         space.map(GLOBALS_BASE, page_align_up(cursor - GLOBALS_BASE),
                   PERM_RW, "globals")
 
-    # Initializers are written with tracing suspended: program load is not
-    # part of measured execution.
-    tracer, space.tracer = space.tracer, None
-    try:
+    # Initializers, and the scheme's metadata for them, are written with
+    # tracing suspended: program load is not part of measured execution.
+    with space.untraced():
         for var, address in placements:
             if var.init:
                 space.write(address, var.init)
@@ -127,8 +126,6 @@ def load_program(vm: "VM", module: Module) -> Program:
                     raise IRVerifyError(
                         f"global {var.name}: bad reloc target {ref!r}")
                 space.write_u64(address + offset, target)
-    finally:
-        space.tracer = tracer
 
     # 3. Constant-pool resolution.
     for name, fn in module.functions.items():

@@ -26,7 +26,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import (
     ControlFlowHijack,
+    OutOfMemory,
     ProgramExit,
+    ReproError,
     RequestAborted,
     SegmentationFault,
     TrapError,
@@ -42,7 +44,7 @@ from repro.memory.layout import (
     in_code_region,
 )
 from repro.sgx.cache import LINE_SIZE
-from repro.sgx.enclave import Enclave
+from repro.sgx.enclave import Enclave, EnclaveConfig
 from repro.vm import policy as violation_policy
 from repro.vm.loader import Program, load_program
 from repro.vm.scheme import SchemeRuntime
@@ -187,16 +189,13 @@ class VM:
         self.counters = self.enclave.counters
         self.scheme = scheme or SchemeRuntime()
         #: Observability hook (``repro.telemetry.Telemetry``).  None — the
-        #: default — keeps every hot path telemetry-free; a disabled
-        #: Telemetry object is normalized to None for the same reason.
-        self.telemetry = telemetry \
-            if (telemetry is not None and telemetry.enabled) else None
-        if self.telemetry is not None:
-            self.telemetry.attach_vm(self)
+        #: default — keeps every hot path telemetry-free.
+        self.telemetry = telemetry
+        if telemetry is not None:
+            telemetry.attach_vm(self)
         #: Forensics hook (``repro.forensics.Forensics``); same contract
-        #: as telemetry — None by default, normalized, observation-only.
-        self.forensics = forensics \
-            if (forensics is not None and forensics.enabled) else None
+        #: as telemetry — None by default, observation-only.
+        self.forensics = forensics
         #: Event hub over both handles (EPC faults/flushes, dropped
         #: requests); None when neither is attached, and then the hub
         #: module is not even imported.
@@ -360,19 +359,13 @@ class VM:
 
     def bulk_read(self, address: int, size: int) -> bytes:
         self.touch_range(address, size, False)
-        tracer, self.space.tracer = self.space.tracer, None
-        try:
-            return self.space.read(address & ADDRESS_MASK, size)
-        finally:
-            self.space.tracer = tracer
+        with self.space.untraced() as space:
+            return space.read(address, size)
 
     def bulk_write(self, address: int, data: bytes) -> None:
         self.touch_range(address, len(data), True)
-        tracer, self.space.tracer = self.space.tracer, None
-        try:
-            self.space.write(address & ADDRESS_MASK, data)
-        finally:
-            self.space.tracer = tracer
+        with self.space.untraced() as space:
+            space.write(address, data)
 
     def charge(self, instructions: int) -> None:
         """Account for work a native performs on the simulated CPU."""
@@ -404,21 +397,7 @@ class VM:
                     if rng is not None and quantum >= 8:
                         jitter = quantum // 8
                         quantum += rng.randrange(-jitter, jitter + 1)
-                    try:
-                        self._step(thread, quantum)
-                    except RequestAborted as drop:
-                        self.current = None
-                        if not self._recover_request(thread, drop.violation):
-                            raise drop.violation from None
-                    except (SegmentationFault, ControlFlowHijack,
-                            TrapError) as err:
-                        # Under drop-request even a late crash (the check
-                        # was evaded or the scheme missed the overflow) is
-                        # contained to the in-flight request.
-                        self.current = None
-                        if (self.scheme.policy != violation_policy.DROP_REQUEST
-                                or not self._recover_request(thread, err)):
-                            raise
+                    self.step(thread, quantum)
                     if main_thread.state == DONE:
                         self.exit_value = main_thread.result
                         return self.exit_value
@@ -430,6 +409,27 @@ class VM:
         except ProgramExit as stop:
             self.exit_value = stop.code
             return self.exit_value
+
+    def step(self, thread: Thread, quantum: int) -> None:
+        """Run ``thread`` for up to ``quantum`` instructions, containing
+        a fault to the request in flight where the policy allows: a
+        dropped request (:class:`RequestAborted`) rolls back to its
+        checkpoint or else fail-stops on its violation, and under
+        drop-request a segfault, hijack or trap rolls back too (a late
+        crash: the check was evaded or the scheme missed the overflow).
+        Any other fault propagates.  :meth:`run` and the fleet's
+        ``EnclaveWorker`` tick loop both advance threads through here."""
+        try:
+            self._step(thread, quantum)
+        except RequestAborted as drop:
+            self.current = None
+            if not self._recover_request(thread, drop.violation):
+                raise drop.violation from None
+        except (SegmentationFault, ControlFlowHijack, TrapError) as err:
+            self.current = None
+            if (self.scheme.policy != violation_policy.DROP_REQUEST
+                    or not self._recover_request(thread, err)):
+                raise
 
     def _finish_thread(self, thread: Thread, result: object) -> None:
         thread.state = DONE
@@ -466,12 +466,9 @@ class VM:
         # smashed the stack (e.g. CVE-2013-2028) and recovery must not die
         # on a corrupted token it is about to discard anyway.  Untraced:
         # modelled as part of the flat RECOVERY_COST below.
-        tracer, self.space.tracer = self.space.tracer, None
-        try:
+        with self.space.untraced() as space:
             for frame in thread.frames:
-                self.space.write_u64(frame.ret_slot, frame.token)
-        finally:
-            self.space.tracer = tracer
+                space.write_u64(frame.ret_slot, frame.token)
         self.charge(RECOVERY_COST)
         self.dropped_requests += 1
         self.recovered_requests += 1
@@ -493,9 +490,8 @@ class VM:
         raise SegmentationFault(target, 8, "return to non-code address")
 
     def _step(self, thread: Thread, quantum: int) -> None:
-        """Run ``thread`` for up to ``quantum`` instructions.  Everything —
-        ``run()``, the fleet's ``EnclaveWorker`` tick loop — funnels
-        through here.
+        """Run ``thread`` for up to ``quantum`` instructions, faults
+        uncontained (:meth:`step` contains them).
 
         Predecoded handler dispatch (see ``repro.vm.fastpath``): one
         telemetry segment per frame activation, ``frame.pc`` written back
@@ -559,6 +555,36 @@ class VM:
     def output(self) -> str:
         """Everything the program printed."""
         return "".join(self.stdout)
+
+
+def build_vm(module: Module, scheme: Optional[SchemeRuntime] = None,
+             config: Optional[EnclaveConfig] = None, telemetry=None,
+             forensics=None, **vm_kwargs) -> Tuple[VM, Module]:
+    """The one build path: ``scheme``'s passes over ``module`` (a plain
+    clone for native), finalize, then a fresh :class:`Enclave` and
+    :class:`VM` observed by exactly the sinks given.  Returns
+    ``(vm, image)``; the caller loads the image.
+
+    ``module`` is never mutated and nothing at run time mutates the
+    image, so one compile can feed many VMs.  ``vm_kwargs`` go to
+    :class:`VM` (``seed``, ``max_instructions``).
+    """
+    image = (scheme.instrument(module) if scheme else module.clone()).finalize()
+    vm = VM(enclave=Enclave(config), scheme=scheme, telemetry=telemetry,
+            forensics=forensics, **vm_kwargs)
+    return vm, image
+
+
+def report_crash(vm: VM, err: ReproError, forensics=None, **context) -> str:
+    """How a run that ``err`` ended is reported: ``"OOM"`` for
+    :class:`OutOfMemory` (the paper's missing bars), else the error's
+    class name.  With ``forensics`` attached its postmortem is captured
+    too, ``context`` (request id, payload, worker id, faulting thread)
+    included."""
+    reason = "OOM" if isinstance(err, OutOfMemory) else type(err).__name__
+    if forensics is not None:
+        forensics.capture(vm, err, reason=reason, **context)
+    return reason
 
 
 def run_module(module: Module, scheme: Optional[SchemeRuntime] = None,

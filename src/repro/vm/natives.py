@@ -23,11 +23,8 @@ def _strip(vm, ptr: int) -> int:
 
 def _read_str(vm, ptr: int) -> bytes:
     address = _strip(vm, ptr)
-    tracer, vm.space.tracer = vm.space.tracer, None
-    try:
-        return vm.space.read_cstring(address)
-    finally:
-        vm.space.tracer = tracer
+    with vm.space.untraced() as space:
+        return space.read_cstring(address)
 
 
 # ---------------------------------------------------------------------------

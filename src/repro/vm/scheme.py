@@ -138,7 +138,14 @@ class SchemeRuntime:
         return vm.enclave.heap.malloc(size)
 
     def calloc(self, vm: "VM", count: int, size: int) -> int:
-        return vm.enclave.heap.calloc(count, size)
+        """:meth:`malloc`, then zero the object untraced and charge one
+        store per line it covers, as a memset would."""
+        total = max(int(count * size), 1)
+        ptr = self.malloc(vm, total)
+        with vm.space.untraced() as space:
+            space.fill(ptr, 0, total)
+        vm.touch_range(ptr, total, True)
+        return ptr
 
     def realloc(self, vm: "VM", ptr: int, size: int) -> int:
         return vm.enclave.heap.realloc(ptr & ADDRESS_MASK, size)

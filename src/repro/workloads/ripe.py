@@ -24,7 +24,7 @@ Expected Table 4: MPX 2/16, AddressSanitizer 8/16, SGXBounds 8/16.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.errors import (
     BoundsViolation,
@@ -35,7 +35,7 @@ from repro.errors import (
     SegmentationFault,
 )
 from repro.minic import compile_source
-from repro.vm import VM
+from repro.vm.machine import build_vm
 from repro.vm.scheme import SchemeRuntime
 
 PREVENTED = "prevented"
@@ -226,14 +226,8 @@ def run_attack(name: str,
                scheme: Optional[SchemeRuntime] = None) -> str:
     """Run one attack under ``scheme``; returns prevented/succeeded/failed."""
     _, source = ATTACKS[name]
-    module = compile_source(source, name)
-    if scheme is not None:
-        module = scheme.instrument(module)
-    else:
-        module = module.clone()
-    module.finalize()
-    vm = VM(scheme=scheme)
-    vm.load(module)
+    vm, image = build_vm(compile_source(source, name), scheme)
+    vm.load(image)
     try:
         result = vm.run("main")
     except BoundsViolation:

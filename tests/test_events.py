@@ -52,8 +52,7 @@ def _hops(obs):
 class TestOffPath:
     def test_no_enabled_handle_builds_no_hub(self):
         assert hub() is None
-        assert hub(Telemetry(enabled=False), Forensics(enabled=False),
-                   Observability(enabled=False)) is None
+        assert hub(None, None, None) is None
 
     def test_campaign_with_every_handle_off_builds_no_hub(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -64,21 +63,17 @@ class TestOffPath:
                              fault_rate=0.3, seed=1234, size="XS",
                              overload="protected", arrivals_per_tick=8)
         absent = run_campaign(cfg)
-        disabled = run_campaign(cfg, telemetry=Telemetry(enabled=False),
-                                forensics=Forensics(enabled=False),
-                                obs=Observability(enabled=False))
+        disabled = run_campaign(cfg, telemetry=None, forensics=None,
+                                obs=None)
         assert absent.crashes > 0
         assert absent.as_dict() == disabled.as_dict()
 
     def test_disabled_handles_subscribe_nothing(self):
-        telemetry = Telemetry(enabled=False)
-        obs = Observability(enabled=False)
-        obs.tracer.submit(0, 0)
         forensics = Forensics()
-        _emit_all(hub(telemetry, forensics, obs))
-        assert telemetry.metrics_snapshot() == {}
-        assert telemetry.chrome_trace()["traceEvents"] == []
-        assert _hops(obs) == set()
+        events = hub(None, forensics, None)
+        assert all(handler.args[0] is forensics
+                   for route in events.routes.values() for handler in route)
+        _emit_all(events)
         assert _recorded(forensics)
 
     def test_unknown_kind_raises(self):

@@ -299,8 +299,7 @@ class TestBalancer:
         assert terminal[0].detail == "crash; retries exhausted"
 
     def test_hedged_requeue_preserves_order(self):
-        workers, sup, bal = self._fleet(n=1, queue_cap=3,
-                                        hedge_stranded=True)
+        workers, sup, bal = self._fleet(n=1, queue_cap=3)
         for rid in range(3):
             bal.offer(Request(rid, b"x", arrival=0))
         bal.dispatch(0)                         # rid 0 in flight, 1-2 queued
@@ -547,7 +546,7 @@ class TestImageReuse:
     def test_image_follows_the_policy(self):
         from repro.core import SGXBoundsScheme
         from repro.harness.experiments import APP_CONFIG
-        from repro.harness.runner import instrument_and_finalize
+        from repro.vm.machine import build_vm
 
         module = _memcached_module()
         abort = EnclaveWorker(0, module, "sgxbounds", policy="abort",
@@ -560,9 +559,76 @@ class TestImageReuse:
                                   config=APP_CONFIG).vm.program.module
         assert boundless.meta.get("hoisted_accesses", 0) == 0
         assert boundless.stats()["instructions"] == 311
-        fresh = instrument_and_finalize(
-            module, SGXBoundsScheme(policy="boundless"))
+        _, fresh = build_vm(module, SGXBoundsScheme(policy="boundless"))
         assert boundless.stats() == fresh.stats()
+
+
+#: One request per probe: ``o`` writes past a 16-byte heap object, ``s``
+#: stores through a wild pointer, ``m`` maps 16 MiB blocks until memory
+#: runs out.
+_PROBE_SERVER = r"""
+char g_req[64];
+int main(int n, int threads) {
+    for (int r = 0; r < n; r++) {
+        int got = net_recv(0, g_req, 64);
+        if (got <= 0) break;
+        int op = g_req[0];
+        if (op == 'o') {
+            char *p = (char*)malloc(16);
+            p[40] = 1;
+        } else if (op == 's') {
+            char *q = (char*)16;
+            q[0] = 1;
+        } else if (op == 'm') {
+            while (1) { char *big = (char*)malloc(1 << 24); big[0] = 1; }
+        }
+        net_send(0, "K", 1);
+    }
+    return 0;
+}
+"""
+
+
+class TestContainment:
+    """``run_server`` and a fleet worker contain a fault the same way:
+    both go through ``VM.step`` and ``report_crash``."""
+
+    @staticmethod
+    def _server(request, policy):
+        from repro.harness.runner import run_server
+        from repro.workloads.netsim import ERROR_MARKER
+
+        result = run_server(_PROBE_SERVER, [[request]], "sgxbounds", 1,
+                            policy=policy)
+        if result.crashed:
+            return result.crashed
+        assert result.resilience["recovered_requests"] == 1
+        assert result.net.sent(0) == [ERROR_MARKER]
+        return "error"
+
+    @staticmethod
+    def _worker(request, policy):
+        from repro.minic import compile_source
+
+        worker = EnclaveWorker(0, compile_source(_PROBE_SERVER, "probe"),
+                               "sgxbounds", policy=policy)
+        outcomes, crash = _serve(worker, 1, request)
+        if crash is not None:
+            return crash
+        assert outcomes == [(1, "error")]
+        return "error"
+
+    @pytest.mark.parametrize("request_, policy, outcome", [
+        (b"o", "abort", "BoundsViolation"),
+        (b"o", "drop-request", "error"),
+        (b"s", "abort", "SegmentationFault"),
+        (b"s", "drop-request", "error"),
+        (b"m", "abort", "OOM"),
+        (b"m", "drop-request", "OOM"),
+    ])
+    def test_server_and_worker_agree(self, request_, policy, outcome):
+        assert self._server(request_, policy) == outcome
+        assert self._worker(request_, policy) == outcome
 
 
 class TestCampaigns:

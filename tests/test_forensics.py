@@ -252,7 +252,7 @@ class TestZeroOverhead:
         absent = run_workload(get("histogram"), "sgxbounds", size="XS",
                               threads=1)
         disabled = run_workload(get("histogram"), "sgxbounds", size="XS",
-                                threads=1, forensics=Forensics(enabled=False))
+                                threads=1, forensics=None)
         enabled = run_workload(get("histogram"), "sgxbounds", size="XS",
                                threads=1, forensics=Forensics())
         for field in COUNTER_FIELDS:

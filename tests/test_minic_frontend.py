@@ -60,6 +60,8 @@ class TestLexer:
         "0x;", "0x_1", "1.2.3", ".5.5", "1e;", "1.5e+", "²", "1²",
         r"'\x4'", r"'\q'", "'\\", "'", "'ab'",
         r'"\xZZ"', r'"\x4"', r'"\x-1"', '"中"', '"a\nb"', '"open',
+        r"'\x-1'", r"'\x 1'", r"'\x+f'", "'\n'", "'中'", '"\\x\n1"',
+        r'"\x٣٣"',
     ])
     def test_malformed_literal_is_compile_error_at_it(self, literal):
         with pytest.raises(CompileError) as caught:

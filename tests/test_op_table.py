@@ -89,13 +89,13 @@ BINOPS = {
     ops.FMUL: [
         (INF, 0.0, NAN), (-INF, 2.0, -INF), (NAN, 0.0, NAN),
         (-1.0, 0.0, -0.0), (1e308, 10.0, INF)],
-    # A zero divisor gives an infinity signed by the dividend alone:
-    # 0.0/0.0 is +inf (not IEEE's NaN), NaN/0.0 is -inf and 1.0/-0.0
-    # is +inf.
+    # IEEE for a zero divisor: 0/0 and NaN/0 are NaN, and x/0 is an
+    # infinity signed by both operands.
     ops.FDIV: [
         (6.0, 3.0, 2.0), (1.0, 0.0, INF), (-1.0, 0.0, -INF),
-        (0.0, 0.0, INF), (NAN, 0.0, -INF), (INF, 0.0, INF),
-        (-INF, 0.0, -INF), (1.0, -0.0, INF), (1.0, INF, 0.0),
+        (0.0, 0.0, NAN), (-0.0, -0.0, NAN), (NAN, 0.0, NAN),
+        (INF, 0.0, INF), (-INF, 0.0, -INF), (1.0, -0.0, -INF),
+        (-1.0, -0.0, INF), (INF, -0.0, -INF), (1.0, INF, 0.0),
         (INF, INF, NAN), (1.0, NAN, NAN)],
 }
 

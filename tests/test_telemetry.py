@@ -33,6 +33,7 @@ from repro.telemetry import (Telemetry, attribute_overhead,
 from repro.telemetry.metrics import (DEFAULT_BOUNDS, Histogram,
                                      MetricsRegistry)
 from repro.telemetry.tracer import SpanTracer
+from repro.vm import VM
 from repro.workloads import get
 from repro.workloads.apps import memcached
 
@@ -184,20 +185,20 @@ class TestRunIntegration:
         assert "function" in cats and "native" in cats
 
     def test_zero_overhead_when_off(self):
-        # Counters must be identical whether telemetry is absent,
-        # disabled, or even enabled (it only observes, never charges).
+        # Counters must be identical whether telemetry is absent, off
+        # (None), or even enabled (it only observes, never charges).
         absent = _run()
-        disabled = _run(Telemetry(enabled=False))
+        disabled = _run(None)
         enabled = _run(Telemetry())
         assert absent.counters == disabled.counters == enabled.counters
         assert absent.cycles == disabled.cycles == enabled.cycles
         assert absent.peak_reserved == enabled.peak_reserved
 
     def test_disabled_telemetry_records_nothing(self):
-        telemetry = Telemetry(enabled=False)
-        _run(telemetry)
-        assert len(telemetry.registry) == 0
-        assert telemetry.chrome_trace()["traceEvents"] == []
+        # Off is None: the VM attaches nothing and builds no event hub.
+        vm = VM(telemetry=None)
+        assert vm.telemetry is None and vm.events is None
+        assert vm.enclave.telemetry is None and vm.enclave.events is None
 
     def test_function_profile_covers_run(self):
         telemetry = Telemetry()

@@ -34,7 +34,7 @@ class Request:
     __slots__ = ("rid", "payload", "arrival", "attempts", "status",
                  "completed_at", "worker", "detail", "priority",
                  "client_retries", "assigned_at", "started_at", "abandoned",
-                 "first_arrival", "trace")
+                 "first_arrival")
 
     def __init__(self, rid: int, payload: bytes, arrival: int,
                  priority: str = "normal", client_retries: int = 0,
@@ -60,9 +60,6 @@ class Request:
         #: its worker, which will serve it anyway — zombie work, the
         #: wasted-capacity half of congestion collapse (naive mode only).
         self.abandoned = False
-        #: Causal trace id, stamped by the observability layer at client
-        #: submit; None (the default) on every path outside obs runs.
-        self.trace: Optional[str] = None
 
     @property
     def terminal(self) -> bool:
@@ -145,7 +142,6 @@ class Balancer:
             wid: CircuitBreaker(breaker_threshold, breaker_cooldown)
             for wid in self.order}
         self._rr = 0
-        self.failed_no_capacity = 0
         #: Optional ``repro.overload.AdmissionController``; None keeps
         #: every path below byte-identical to the pre-overload balancer.
         self.admission = admission
@@ -278,21 +274,13 @@ class Balancer:
             if self.events is not None:
                 self.events.emit("request_dispatched", now, wid=wid,
                                  rid=request.rid, attempt=request.attempts)
-            # Stamped only by the observability layer; omitting the kwarg
-            # otherwise keeps plain worker stand-ins signature-compatible.
-            extra = {} if request.trace is None \
-                else {"trace": request.trace}
+            waited = 0
             if self.tick_cycles is not None:
                 assigned = request.assigned_at \
                     if request.assigned_at is not None else now
-                self.workers[wid].submit(
-                    request.rid, request.payload,
-                    priority=request.priority,
-                    waited_cycles=max(0, now - assigned) * self.tick_cycles,
-                    **extra)
-            else:
-                self.workers[wid].submit(request.rid, request.payload,
-                                         **extra)
+                waited = max(0, now - assigned) * self.tick_cycles
+            self.workers[wid].submit(request.rid, request.payload,
+                                     waited_cycles=waited)
         # Nobody left to serve the backlog: fail it fast.
         if self.supervisor.alive_count() == 0:
             terminal.extend(self._fail_backlog(now))
@@ -383,7 +371,6 @@ class Balancer:
             request.detail = "no capacity"
             request.completed_at = now
             failed.append(request)
-            self.failed_no_capacity += 1
         return failed
 
     def expire(self, now: int, deadline_ticks: int,

@@ -300,25 +300,21 @@ def run_campaign(config: CampaignConfig, telemetry=None,
 
     def settle(req) -> None:
         """Route one terminal request: through the client swarm (which
-        may turn it into a retry) when overload is on, else straight to
-        SLO accounting."""
+        may turn it into a retry) when overload is on, then to SLO
+        accounting."""
         while req is not None:
-            if controls is None:
-                if obs is not None:
-                    obs.on_settled(req)
-                slo.on_terminal(req)
-                return
-            retry = controls.swarm.on_terminal(req, now)
+            retry = None if controls is None \
+                else controls.swarm.on_terminal(req, now)
             if retry is None:
                 if obs is not None:
                     obs.on_settled(req)
                 slo.on_terminal(req)
                 return
-            # offer() returns the retry itself if the gate rejects it.
+            # Same rid, same trace root: the resubmission is a new branch
+            # of one causal request.  offer() returns the retry itself if
+            # the gate rejects it.
             if obs is not None:
-                # Same rid, same trace root: the resubmission is a new
-                # branch of one causal request, not a fresh trace.
-                obs.on_client_retry(retry, now)
+                obs.on_submit(retry, now)
             req = balancer.offer(retry, now)
 
     while now < config.max_ticks:
@@ -339,21 +335,16 @@ def run_campaign(config: CampaignConfig, telemetry=None,
                 fuzzed = storm_trace[rid]
             if fuzzed != payload:
                 result.fuzzed_requests += 1
-            if controls is not None:
-                request = Request(rid, fuzzed, arrival=now,
-                                  priority=controls.priority(rid))
-                if obs is not None:
-                    obs.on_submit(request, now)
-                slo.on_submitted(priority=request.priority)
-                rejected = balancer.offer(request, now)
-                if rejected is not None:
-                    settle(rejected)
-            else:
-                request = Request(rid, fuzzed, arrival=now)
-                if obs is not None:
-                    obs.on_submit(request, now)
-                balancer.offer(request, now)
-                slo.on_submitted()
+            request = Request(rid, fuzzed, arrival=now,
+                              priority="normal" if controls is None
+                              else controls.priority(rid))
+            if obs is not None:
+                obs.on_submit(request, now)
+            slo.on_submitted(priority=request.priority)
+            # Without an admission gate offer() never rejects.
+            rejected = balancer.offer(request, now)
+            if rejected is not None:
+                settle(rejected)
         # 2. Scenario events.
         if config.hang and now == config.hang[0]:
             wid = config.hang[1]

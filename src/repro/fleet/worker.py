@@ -20,7 +20,7 @@ from typing import List, Optional, Tuple
 
 from repro.errors import ReproError, WatchdogTimeout
 from repro.faults import FaultInjector, derive
-from repro.harness.runner import default_sinks, make_scheme
+from repro.harness.runner import make_scheme
 from repro.obs import events as events_mod
 from repro.vm import machine as vm_mod
 from repro.workloads import NetworkSim
@@ -84,8 +84,6 @@ class EnclaveWorker:
         self.deduped = 0                  # mutations skipped as duplicates
         self.incarnations = 0
         self.served = 0
-        self.error_replies = 0
-        self.crashes = 0
         self.total_cycles = 0             # summed over dead incarnations
         self.total_epc_faults = 0         # likewise (anomaly detection)
         #: The worker's one VM: built, loaded and snapshotted by the first
@@ -103,13 +101,11 @@ class EnclaveWorker:
         does not change."""
         self.incarnations += 1
         if self.vm is None:
-            # The VM observes the process-wide sinks when the worker was
-            # given none (a recovery standby under ``--log-out``).
             self.scheme = make_scheme(self.scheme_name, self.scheme_kwargs,
                                       self.policy)
             self.vm, image = vm_mod.build_vm(
-                self.module, self.scheme, self.config,
-                *default_sinks(self.telemetry, self.forensics))
+                self.module, self.scheme, self.config, self.telemetry,
+                self.forensics)
             self.vm.load(image)
             self.vm.snapshot()
         else:
@@ -159,8 +155,8 @@ class EnclaveWorker:
         """Simulated cycles of the live incarnation."""
         return self.vm.enclave.cycles()
 
-    def submit(self, rid: int, payload: bytes, priority: str = "normal",
-               waited_cycles: int = 0, trace: Optional[str] = None) -> None:
+    def submit(self, rid: int, payload: bytes,
+               waited_cycles: int = 0) -> None:
         """Hand one request to the worker (depth-1: caller checks idle).
 
         ``waited_cycles`` backdates the watchdog clock by the simulated
@@ -194,7 +190,7 @@ class EnclaveWorker:
             self._obs_snap = (
                 tuple(getattr(vm.counters, f) for f in ATTRIB_FIELDS),
                 vm.enclave.cycles())
-        mid = vm.net.push(self.conn, payload, priority=priority, trace=trace)
+        mid = vm.net.push(self.conn, payload)
         if self.forensics is not None:
             vm.request_id = rid
             vm.request_payload = payload
@@ -325,10 +321,9 @@ class EnclaveWorker:
                         for f in ATTRIB_FIELDS)
             delta = {f: now[i] - snap[i]
                      for i, f in enumerate(ATTRIB_FIELDS)}
-            self.obs.enclave_sample(rid, self.wid, delta,
+            self.obs.enclave_sample(rid, delta,
                                     self.vm.enclave.cycles() - cycles0)
         if reply == ERROR_MARKER:
-            self.error_replies += 1
             return [(rid, ERROR)]
         if self.mutates is not None and self.mutates(payload):
             self.applied_rids.add(rid)
@@ -339,7 +334,6 @@ class EnclaveWorker:
                       thread=None) -> TickReport:
         """End the incarnation on :attr:`last_error`, raised while
         ``thread`` ran (None for a hang)."""
-        self.crashes += 1
         self.total_cycles += self.vm.enclave.cycles()
         self.total_epc_faults += self.vm.counters.epc_faults
         rid, payload = self.inflight or (None, None)

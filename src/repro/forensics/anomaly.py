@@ -110,8 +110,9 @@ class QueueDepthDetector:
     bound and every request admitted is a request that will miss its
     deadline.  The rule alerts when the mean depth over the window
     crosses the threshold, with the same half-threshold hysteresis as
-    the other detectors; ``severe`` marks a window at twice the
-    threshold (used by brownout to escalate the shed level)."""
+    the other detectors.  Brownout reads only ``alerting``: the shed
+    level counts alerting detectors, not how far past its threshold
+    each one is."""
 
     name = "queue_depth"
 
@@ -120,14 +121,12 @@ class QueueDepthDetector:
         self.depth_threshold = depth_threshold
         self._depths: Deque[int] = deque(maxlen=self.window)
         self.alerting = False
-        self.severe = False
 
     def observe(self, now: int, depth: int) -> Optional[Dict]:
         self._depths.append(max(0, depth))
         if len(self._depths) < self.window:
             return None
         mean = sum(self._depths) // self.window
-        self.severe = mean >= 2 * self.depth_threshold
         if not self.alerting and mean >= self.depth_threshold:
             self.alerting = True
             return {"mean_depth": mean,

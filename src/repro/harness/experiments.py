@@ -316,8 +316,7 @@ def fleet_availability(app: str = "memcached", workers: int = 4,
                        policies: Sequence[str] = ("abort", "drop-request",
                                                   "boundless"),
                        rewarm_scales: Sequence[float] = (1.0, 8.0),
-                       balance: str = "round-robin",
-                       telemetry=None) -> Tuple[Dict, str]:
+                       balance: str = "round-robin") -> Tuple[Dict, str]:
     """Fleet availability: policies x restart cost over a worker fleet.
 
     The §6.4 argument at fleet scale: fail-stop pays an enclave cold
@@ -335,7 +334,7 @@ def fleet_availability(app: str = "memcached", workers: int = 4,
                                  workers=workers, fault_rate=fault_rate,
                                  seed=seed, size=size, rewarm_scale=scale,
                                  balance=balance)
-            r = run_campaign(cfg, telemetry=telemetry)
+            r = run_campaign(cfg)
             slo = r.slo
             sup = r.supervisor
             data[(policy, scale)] = r.as_dict()
@@ -406,8 +405,7 @@ def recovery_rpo(app: str = "memcached", workers: int = 2,
                                             "boundless"),
                  modes: Sequence[str] = ("restart-fresh", "snapshot",
                                          "snapshot+wal", "replica"),
-                 intervals: Sequence[int] = (5, 40),
-                 telemetry=None) -> Tuple[Dict, str]:
+                 intervals: Sequence[int] = (5, 40)) -> Tuple[Dict, str]:
     """Stateful recovery: RPO/RTO across policies x modes x intervals.
 
     Write-heavy campaigns (every other memcached request is a SET) where
@@ -439,7 +437,7 @@ def recovery_rpo(app: str = "memcached", workers: int = 2,
                     workload_kwargs=(("set_every", 2),),
                     crash_loop_k=2, crash_loop_window=200,
                     recovery=mode, checkpoint_interval=interval)
-                r = run_campaign(cfg, telemetry=telemetry)
+                r = run_campaign(cfg)
                 rec = r.recovery
                 slo = r.slo
                 sup = r.supervisor
@@ -476,8 +474,8 @@ def overload_goodput(app: str = "memcached", workers: int = 3,
                      deadline_ticks: int = 20,
                      policy: str = "drop-request",
                      burst: Sequence[int] = (20, 50, 8),
-                     burst_size: str = "M", burst_rate: int = 2,
-                     telemetry=None) -> Tuple[Dict, str]:
+                     burst_size: str = "M",
+                     burst_rate: int = 2) -> Tuple[Dict, str]:
     """Overload protection: goodput across arrival rate x scheme x policy.
 
     Two sweeps over the same fleet.  The **saturation sweep** ramps the
@@ -510,7 +508,7 @@ def overload_goodput(app: str = "memcached", workers: int = 3,
                     fault_rate=fault_rate, seed=seed, size=size,
                     arrivals_per_tick=rate, deadline_ticks=deadline_ticks,
                     overload=mode, max_ticks=2_000)
-                r = run_campaign(cfg, telemetry=telemetry)
+                r = run_campaign(cfg)
                 data[(scheme, mode, rate)] = r.as_dict()
                 rows.append(_overload_row(scheme, mode, rate, r))
     chunks = [report.overload_table(
@@ -526,7 +524,7 @@ def overload_goodput(app: str = "memcached", workers: int = 3,
                 fault_rate=fault_rate, seed=seed, size=burst_size,
                 arrivals_per_tick=burst_rate, deadline_ticks=deadline_ticks,
                 overload=mode, burst=tuple(burst), max_ticks=2_000)
-            r = run_campaign(cfg, telemetry=telemetry)
+            r = run_campaign(cfg)
             data[("metastable", scheme, mode)] = r.as_dict()
             ov = r.slo["overload"]
             crit = ov["by_class"]["critical"]

@@ -3,10 +3,10 @@
 Four cooperating pieces (see DESIGN.md, "Request observatory"):
 
 * :mod:`~repro.obs.trace` — causal request tracing: one deterministic
-  trace context per request id, minted at client submit and propagated
-  through NetworkSim frames, Balancer dispatch/retry/hedge, worker
-  execution and recovery failover; exports Chrome ``trace_event`` JSON
-  and text waterfalls;
+  trace context per request id, minted at client submit and kept by the
+  tracer per rid, so Balancer dispatch/retry/hedge, worker execution,
+  client retries and recovery failover land as hops of that one trace;
+  exports Chrome ``trace_event`` JSON and text waterfalls;
 * :mod:`~repro.obs.attribution` — critical-path attribution: exact
   per-request tick decomposition (queue wait / enclave compute / retry
   amplification / network) plus model-priced bounds-check-tax and
@@ -64,16 +64,11 @@ class Observability:
 
     # -- request lifecycle hooks (campaign/balancer/worker call these) --
     def on_submit(self, request, now: int) -> None:
-        """Client submit: mint the trace context and stamp the request."""
-        request.trace = self.tracer.submit(
-            request.rid, now, priority=request.priority)
+        """Client submit: mint the trace context for a new rid, or open
+        a ``client_retry`` branch of the known one on a resubmission."""
+        self.tracer.submit(request.rid, now, priority=request.priority)
 
-    def on_client_retry(self, request, now: int) -> None:
-        """The client swarm resubmitted ``rid``: same root, new branch."""
-        request.trace = self.tracer.submit(
-            request.rid, now, priority=request.priority)
-
-    def enclave_sample(self, rid: int, wid: int, fields: Dict[str, int],
+    def enclave_sample(self, rid: int, fields: Dict[str, int],
                        cycles: int) -> None:
         """A worker finished one service attempt for ``rid``: counter
         deltas between submit and reply, exact because workers are

@@ -170,8 +170,8 @@ class FleetTracer:
                priority: Optional[str] = None) -> Optional[str]:
         """Mint (or extend) the trace for ``rid`` at client submit time.
 
-        Returns the trace id to stamp onto the Request, or None when the
-        trace table is full (the request travels untraced)."""
+        Returns the trace id, or None when the trace table is full (the
+        request travels untraced)."""
         trace = self.traces.get(rid)
         if trace is None:
             if len(self.traces) >= self.max_traces:

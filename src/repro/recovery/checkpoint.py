@@ -57,14 +57,12 @@ class CheckpointStore:
         self._blobs: Dict[str, SealedBlob] = {}
         self._wal_seq: Dict[str, int] = {}
         self._tick: Dict[str, int] = {}
-        self.saves = 0
 
     def save(self, identity: str, blob: SealedBlob, wal_seq: int,
              tick: int) -> None:
         self._blobs[identity] = blob
         self._wal_seq[identity] = wal_seq
         self._tick[identity] = tick
-        self.saves += 1
 
     def latest(self, identity: str) -> Optional[SealedBlob]:
         return self._blobs.get(identity)

@@ -29,6 +29,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from repro.workloads.apps import apache, memcached, nginx
+from repro.workloads.ripe import (
+    PRELUDE,
+    direct_stack_funcptr,
+    in_struct,
+    laundered,
+)
 
 #: Triage outcome labels an attack can claim on success.
 HIJACK = "control-flow-hijack"
@@ -45,12 +51,6 @@ ATTACK_CLASSES = (
     "temporal",
     "interface",
 )
-
-_PRELUDE = r"""
-int g_flag;
-int evil() { g_flag = 1; return 1; }
-int benign() { return 0; }
-"""
 
 
 @dataclass(frozen=True)
@@ -69,40 +69,13 @@ class AttackSpec:
 
 
 # -- program templates ------------------------------------------------------
-
-def in_struct(location: str, target: str) -> str:
-    """In-struct overflow: buffer and target in one struct — invisible to
-    every object-granularity scheme (paper Table 4)."""
-    if location == "heap":
-        obtain = ("struct Victim *v = "
-                  "(struct Victim*)malloc(sizeof(struct Victim));")
-    else:
-        obtain = "struct Victim vs; struct Victim *v = &vs;"
-    if target == "funcptr":
-        payload = r"""
-    uint evil_addr = (uint)evil;
-    for (int i = 0; i < 24; i++) {
-        char byte = (char)0xAA;
-        if (i >= 16) byte = (char)(evil_addr >> ((i - 16) * 8));
-        v->buf[i] = byte;
-    }
-    v->handler();
-"""
-    else:
-        payload = r"""
-    for (int i = 0; i < 28; i++) v->buf[i] = (char)0x01;
-    if (v->auth) g_flag = 1;
-"""
-    return (_PRELUDE
-            + "struct Victim { char buf[16]; fnptr handler; int auth; };\n"
-            + f"int main() {{\n    {obtain}\n"
-            + "    v->handler = benign;\n    v->auth = 0;\n"
-            + payload + "    return g_flag;\n}\n")
-
+# The in-struct, direct-stack and laundered attacks are RIPE's own
+# generators (:mod:`repro.workloads.ripe`); what follows are the classes
+# RIPE lacks and every benign twin.
 
 def in_struct_twin() -> str:
     """Benign twin: same struct, the loop stops at the boundary."""
-    return (_PRELUDE
+    return (PRELUDE
             + "struct Victim { char buf[16]; fnptr handler; int auth; };\n"
             + r"""
 int main() {
@@ -116,31 +89,9 @@ int main() {
 """)
 
 
-def adjacent_direct_stack() -> str:
-    """Direct loop smash of an adjacent stack function pointer (register
-    bounds intact: the attack MPX does catch)."""
-    return _PRELUDE + r"""
-int main() {
-    char buf[24];
-    fnptr handler[1];
-    handler[0] = benign;
-    int delta = (int)(((uint)handler & 0xFFFFFFFF) - ((uint)buf & 0xFFFFFFFF));
-    if (delta < 0 || delta > 512) return 0;
-    uint evil_addr = (uint)evil;
-    for (int i = 0; i < delta + 8; i++) {
-        char byte = (char)0xAA;
-        if (i >= delta) byte = (char)(evil_addr >> ((i - delta) * 8));
-        buf[i] = byte;
-    }
-    handler[0]();
-    return g_flag;
-}
-"""
-
-
 def adjacent_direct_heap() -> str:
     """Contiguous heap overflow from one allocation into the next."""
-    return _PRELUDE + r"""
+    return PRELUDE + r"""
 int main() {
     char *a = (char*)malloc(24);
     char *b = (char*)malloc(24);
@@ -156,7 +107,7 @@ int main() {
 
 def adjacent_twin() -> str:
     """Benign twin: fill both heap objects fully, in bounds."""
-    return _PRELUDE + r"""
+    return PRELUDE + r"""
 int main() {
     char *a = (char*)malloc(24);
     char *b = (char*)malloc(24);
@@ -168,47 +119,11 @@ int main() {
 """
 
 
-def laundered(location: str) -> str:
-    """Adjacent-object funcptr smash through an integer-laundered pointer:
-    strips MPX's register bounds, SGXBounds' in-pointer tag survives."""
-    if location == "heap":
-        setup = """
-    char *buf = (char*)malloc(24);
-    char *tgt = (char*)malloc(24);
-    fnptr *handler = (fnptr*)tgt;
-"""
-    else:   # stack
-        setup = """
-    char sbuf[24];
-    fnptr shandler[1];
-    char *buf = sbuf;
-    fnptr *handler = shandler;
-"""
-    return (_PRELUDE + "uint g_slot;\n" + f"""
-int main() {{
-{setup}
-    handler[0] = benign;
-    int delta = (int)(((uint)handler & 0xFFFFFFFF) - ((uint)buf & 0xFFFFFFFF));
-    if (delta < 0 || delta > 512) return 0;
-    uint evil_addr = (uint)evil;
-    g_slot = (uint)buf;
-    char *lp = (char*)g_slot;
-    for (int i = 0; i < delta + 8; i++) {{
-        char byte = (char)0xAA;
-        if (i >= delta) byte = (char)(evil_addr >> ((i - delta) * 8));
-        lp[i] = byte;
-    }}
-    handler[0]();
-    return g_flag;
-}}
-""")
-
-
 def laundered_twin() -> str:
     """Benign twin: the same int-laundering round trip, all accesses in
     bounds — a scheme that loses track of a laundered pointer must *allow*
     this, not flag it (the false-positive direction of the MPX bug)."""
-    return _PRELUDE + "uint g_slot;\n" + r"""
+    return PRELUDE + "uint g_slot;\n" + r"""
 int main() {
     char *buf = (char*)malloc(24);
     g_slot = (uint)buf;
@@ -234,12 +149,12 @@ def off_by_n(n: int, probe_readback: bool = True) -> str:
 """
     if probe_readback:
         body += f"    if ((a[24 + {n} - 1] & 255) == 0x41) return 1;\n"
-    return _PRELUDE + "int main() {" + body + "    return 0;\n}\n"
+    return PRELUDE + "int main() {" + body + "    return 0;\n}\n"
 
 
 def off_by_n_twin() -> str:
     """Benign twin: write exactly the last in-bounds byte."""
-    return _PRELUDE + r"""
+    return PRELUDE + r"""
 int main() {
     char *a = (char*)malloc(24);
     for (int i = 0; i < 24; i++) a[i] = (char)0x41;
@@ -254,7 +169,7 @@ def underflow_read_jump() -> str:
     allocation (a secret).  Shadow-memory schemes pass it — the target
     bytes are addressable — while bounds-carrying schemes see the access
     leave the derived object."""
-    return _PRELUDE + r"""
+    return PRELUDE + r"""
 int main() {
     char *secret = (char*)malloc(16);
     for (int i = 0; i < 16; i++) secret[i] = (char)0x53;
@@ -271,7 +186,7 @@ int main() {
 def underflow_write() -> str:
     """Pointer-underflow write clobbering the tail of the previous
     allocation."""
-    return _PRELUDE + r"""
+    return PRELUDE + r"""
 int main() {
     char *victim = (char*)malloc(16);
     victim[15] = (char)0x11;
@@ -288,7 +203,7 @@ int main() {
 
 def underflow_twin() -> str:
     """Benign twin: read exactly the first in-bounds byte."""
-    return _PRELUDE + r"""
+    return PRELUDE + r"""
 int main() {
     char *buf = (char*)malloc(16);
     buf[0] = (char)0x53;
@@ -303,7 +218,7 @@ def uaf_read() -> str:
     allocation holding a secret; the stale pointer reads it.  Quarantine +
     shadow poisoning (ASan) catch this; pure bounds schemes do not —
     SGXBounds explicitly leaves temporal safety out of scope (§3.2)."""
-    return _PRELUDE + r"""
+    return PRELUDE + r"""
 int main() {
     char *p = (char*)malloc(24);
     p[0] = (char)0x11;
@@ -319,7 +234,7 @@ int main() {
 def double_free() -> str:
     """Double free: allocator hardening turns this into a deterministic
     abort everywhere; ASan's quarantine reports it as such too."""
-    return _PRELUDE + r"""
+    return PRELUDE + r"""
 int main() {
     char *p = (char*)malloc(24);
     p[0] = (char)0x11;
@@ -332,7 +247,7 @@ int main() {
 
 def temporal_twin() -> str:
     """Benign twin: free then use the *new* allocation only."""
-    return _PRELUDE + r"""
+    return PRELUDE + r"""
 int main() {
     char *p = (char*)malloc(24);
     p[0] = (char)0x11;
@@ -374,14 +289,14 @@ def compile_catalog() -> Tuple[AttackSpec, ...]:
                  in_struct("heap", "auth"), location="heap", target="auth"),
         # adjacent-direct: register bounds intact — everything should fire.
         _program("direct_stack_funcptr", "adjacent-direct", HIJACK,
-                 adjacent_direct_stack(), location="stack"),
+                 direct_stack_funcptr(), location="stack"),
         _program("direct_heap_neighbour", "adjacent-direct", CORRUPTION,
                  adjacent_direct_heap(), location="heap"),
         # laundered: the int<->pointer cast that blinds MPX, not SGXBounds.
         _program("laundered_heap_funcptr", "adjacent-laundered", HIJACK,
-                 laundered("heap"), location="heap"),
+                 laundered("heap", "funcptr"), location="heap"),
         _program("laundered_stack_funcptr", "adjacent-laundered", HIJACK,
-                 laundered("stack"), location="stack"),
+                 laundered("stack", "funcptr"), location="stack"),
         # off-by-N: boundary precision, incl. Baggy's padding blind spot.
         _program("offby1_heap_pad", "off-by-n", CORRUPTION, off_by_n(1), n=1),
         _program("offby8_heap_pad", "off-by-n", CORRUPTION, off_by_n(8), n=8),

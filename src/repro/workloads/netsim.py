@@ -47,16 +47,12 @@ REJECTED_MARKER = b"RJCT"
 class _Message:
     """One queued request with identity across splits and retries."""
 
-    __slots__ = ("mid", "payload", "offset", "priority", "trace")
+    __slots__ = ("mid", "payload", "offset")
 
-    def __init__(self, mid: int, payload: bytes,
-                 priority: Optional[str] = None,
-                 trace: Optional[str] = None):
+    def __init__(self, mid: int, payload: bytes):
         self.mid = mid
         self.payload = payload
         self.offset = 0           # bytes already read by the server
-        self.priority = priority  # fleet priority class, None outside fleets
-        self.trace = trace        # causal trace id, None outside obs runs
 
 
 class ConnStats:
@@ -118,16 +114,6 @@ class NetworkSim:
         #: Message id of the most recent :meth:`recv` delivery (full or
         #: partial) — lets callers correlate a receive with its message.
         self.last_recv_mid: Optional[int] = None
-        #: Priority class of the most recent :meth:`recv` delivery; None
-        #: outside fleet campaigns (plain workloads push without one).
-        self.last_recv_priority: Optional[str] = None
-        #: Trace id of the most recent :meth:`recv` delivery; None unless
-        #: the fleet's observability layer stamped one at push time.
-        self.last_recv_trace: Optional[str] = None
-        #: Trace id per live message id, so a retried message (the old
-        #: object is gone by the time ``fail_request`` re-queues it)
-        #: keeps its causal identity.  Empty outside obs runs.
-        self._traces: Dict[int, str] = {}
 
     def _now(self) -> int:
         """Simulated timestamp for events (0 without a clock)."""
@@ -139,13 +125,11 @@ class NetworkSim:
             stats = self.conn_stats[conn] = ConnStats()
         return stats
 
-    def _message(self, payload: bytes, mid: Optional[int] = None,
-                 priority: Optional[str] = None,
-                 trace: Optional[str] = None) -> _Message:
+    def _message(self, payload: bytes, mid: Optional[int] = None) -> _Message:
         if mid is None:
             mid = self._next_mid
             self._next_mid += 1
-        return _Message(mid, payload, priority=priority, trace=trace)
+        return _Message(mid, payload)
 
     def connect(self, *requests: bytes) -> int:
         """Open a connection with ``requests`` queued for the server."""
@@ -156,18 +140,11 @@ class NetworkSim:
         self._stats(conn).pushed += len(requests)
         return conn
 
-    def push(self, conn: int, data: bytes,
-             priority: Optional[str] = None,
-             trace: Optional[str] = None) -> int:
+    def push(self, conn: int, data: bytes) -> int:
         """Queue one more request on an existing connection; returns the
-        message id so dispatchers can correlate retries and errors.
-        ``priority`` is the fleet's traffic class and ``trace`` the
-        causal trace id, carried as message metadata so both survive
-        splits and retries end to end."""
-        message = self._message(data, priority=priority, trace=trace)
+        message id so dispatchers can correlate retries and errors."""
+        message = self._message(data)
         self._incoming[conn].append(message)
-        if trace is not None:
-            self._traces[message.mid] = trace
         self._stats(conn).pushed += 1
         return message.mid
 
@@ -179,8 +156,6 @@ class NetworkSim:
             return None
         message = queue[0]
         self.last_recv_mid = message.mid
-        self.last_recv_priority = message.priority
-        self.last_recv_trace = message.trace
         remaining = len(message.payload) - message.offset
         if remaining > maxlen:
             # Partial read: the tail stays at the front of the queue as
@@ -200,7 +175,6 @@ class NetworkSim:
         if (prev is not None and prev[0] != message.mid
                 and not any(m.mid == prev[0] for m in queue)):
             self._attempts.pop(prev[0], None)
-            self._traces.pop(prev[0], None)
         self._await_outcome[conn] = (message.mid, message.payload)
         if self.telemetry is not None:
             self.telemetry.registry.counter("net.delivered").inc()
@@ -246,18 +220,16 @@ class NetworkSim:
             if self._rng is not None:
                 backoff += self._rng.randrange(0, self.backoff_cycles // 4 + 1)
             stats.backoff_cycles += backoff
-            # The re-queued attempt is the same message (same mid, same
-            # trace id): a retry is a continuation of one causal request,
-            # never a fresh root.
+            # The re-queued attempt is the same message (same mid), so
+            # its retry budget carries over.
             self._incoming.setdefault(conn, deque()).append(
-                self._message(raw, mid=mid, trace=self._traces.get(mid)))
+                self._message(raw, mid=mid))
             if self.events is not None:
                 self.events.emit("net_retry", self._now(), conn=conn,
                                  mid=mid, attempt=attempt + 1,
                                  backoff_cycles=backoff)
             return True
         self._attempts.pop(mid, None)
-        self._traces.pop(mid, None)
         stats.failed += 1
         stats.errors += 1
         stats.error_replies += 1

@@ -42,15 +42,18 @@ PREVENTED = "prevented"
 SUCCEEDED = "succeeded"
 FAILED = "failed"
 
-_PRELUDE = r"""
+#: Shared by every attack program (here and in :mod:`repro.redteam`):
+#: the target flag, the hijack handler and the benign one it replaces.
+PRELUDE = r"""
 int g_flag;
 int evil() { g_flag = 1; return 1; }
 int benign() { return 0; }
 """
 
 
-def _in_struct(location: str, target: str) -> str:
-    """In-struct overflow: buffer and target inside one struct."""
+def in_struct(location: str, target: str) -> str:
+    """In-struct overflow: buffer and target inside one struct, invisible
+    to every object-granularity scheme."""
     struct_def = """
     struct Victim { char buf[16]; fnptr handler; int auth; };
     """
@@ -81,7 +84,7 @@ def _in_struct(location: str, target: str) -> str:
         for (int i = 0; i < 28; i++) v->buf[i] = (char)0x01;  // hits auth
         if (v->auth) g_flag = 1;
         """
-    return (_PRELUDE + struct_def + decl + f"""
+    return (PRELUDE + struct_def + decl + f"""
 int main() {{
     {obtain}
     v->handler = benign;
@@ -92,10 +95,10 @@ int main() {{
 """)
 
 
-def _direct_stack_funcptr() -> str:
+def direct_stack_funcptr() -> str:
     """Direct loop smash of an adjacent stack function pointer — one of
     the two attacks MPX detects (register bounds are intact)."""
-    return _PRELUDE + r"""
+    return PRELUDE + r"""
 int main() {
     char buf[24];
     fnptr handler[1];
@@ -115,7 +118,7 @@ int main() {
 
 def _direct_stack_retaddr() -> str:
     """Classic return-address smash (fixed native frame layout)."""
-    return _PRELUDE + r"""
+    return PRELUDE + r"""
 int vulnerable() {
     char buf[24];
     uint evil_addr = (uint)evil;
@@ -131,8 +134,10 @@ int main() { vulnerable(); return g_flag; }
 """
 
 
-def _laundered(location: str, target: str, via_memcpy: bool = False) -> str:
-    """Adjacent-object overflow through an integer-laundered pointer."""
+def laundered(location: str, target: str, via_memcpy: bool = False) -> str:
+    """Adjacent-object overflow through an integer-laundered pointer: it
+    strips MPX's register bounds, while SGXBounds' in-pointer tag
+    survives the cast."""
     if location == "heap":
         setup = """
         char *buf = (char*)malloc(24);
@@ -177,7 +182,7 @@ def _laundered(location: str, target: str, via_memcpy: bool = False) -> str:
     }
     memcpy(lp, payload, delta + 8);
     """
-    return (_PRELUDE + globals_decl + f"""
+    return (PRELUDE + globals_decl + f"""
 uint g_slot;
 int main() {{
     {setup}
@@ -197,28 +202,28 @@ int main() {{
 #: All sixteen attacks: name -> (family, MiniC source).
 ATTACKS: Dict[str, Tuple[str, str]] = {
     # -- in-struct (8): undetectable at object granularity ------------------
-    "instruct_stack_funcptr": ("in-struct", _in_struct("stack", "funcptr")),
-    "instruct_stack_auth": ("in-struct", _in_struct("stack", "auth")),
-    "instruct_heap_funcptr": ("in-struct", _in_struct("heap", "funcptr")),
-    "instruct_heap_auth": ("in-struct", _in_struct("heap", "auth")),
-    "instruct_data_funcptr": ("in-struct", _in_struct("data", "funcptr")),
-    "instruct_data_auth": ("in-struct", _in_struct("data", "auth")),
-    "instruct_bss_funcptr": ("in-struct", _in_struct("bss", "funcptr")),
-    "instruct_bss_auth": ("in-struct", _in_struct("bss", "auth")),
+    "instruct_stack_funcptr": ("in-struct", in_struct("stack", "funcptr")),
+    "instruct_stack_auth": ("in-struct", in_struct("stack", "auth")),
+    "instruct_heap_funcptr": ("in-struct", in_struct("heap", "funcptr")),
+    "instruct_heap_auth": ("in-struct", in_struct("heap", "auth")),
+    "instruct_data_funcptr": ("in-struct", in_struct("data", "funcptr")),
+    "instruct_data_auth": ("in-struct", in_struct("data", "auth")),
+    "instruct_bss_funcptr": ("in-struct", in_struct("bss", "funcptr")),
+    "instruct_bss_auth": ("in-struct", in_struct("bss", "auth")),
     # -- adjacent-object, direct (2): the ones MPX catches -------------------
-    "direct_stack_funcptr": ("adjacent-direct", _direct_stack_funcptr()),
+    "direct_stack_funcptr": ("adjacent-direct", direct_stack_funcptr()),
     "direct_stack_retaddr": ("adjacent-direct", _direct_stack_retaddr()),
     # -- adjacent-object, laundered pointer (6): MPX-blind --------------------
     "laundered_heap_funcptr": ("adjacent-laundered",
-                               _laundered("heap", "funcptr")),
-    "laundered_heap_auth": ("adjacent-laundered", _laundered("heap", "auth")),
+                               laundered("heap", "funcptr")),
+    "laundered_heap_auth": ("adjacent-laundered", laundered("heap", "auth")),
     "laundered_data_funcptr": ("adjacent-laundered",
-                               _laundered("data", "funcptr")),
-    "laundered_data_auth": ("adjacent-laundered", _laundered("data", "auth")),
+                               laundered("data", "funcptr")),
+    "laundered_data_auth": ("adjacent-laundered", laundered("data", "auth")),
     "laundered_stack_funcptr": ("adjacent-laundered",
-                                _laundered("stack", "funcptr")),
+                                laundered("stack", "funcptr")),
     "laundered_heap_memcpy": ("adjacent-laundered",
-                              _laundered("heap", "funcptr", via_memcpy=True)),
+                              laundered("heap", "funcptr", via_memcpy=True)),
 }
 
 

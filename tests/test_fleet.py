@@ -41,9 +41,11 @@ class _StubWorker:
         self.wid = wid
         self.vm = _StubVM(pages)
         self.submitted = []
+        self.waited = []
 
-    def submit(self, rid, payload):
+    def submit(self, rid, payload, waited_cycles=None):
         self.submitted.append((rid, payload))
+        self.waited.append(waited_cycles)
 
 
 class TestCircuitBreaker:
@@ -283,6 +285,16 @@ class TestBalancer:
         bal.offer(Request(1, b"x", arrival=0))
         bal.dispatch(0)
         assert workers[1].submitted             # 0 is busy, 1 idle
+
+    def test_no_backdating_without_tick_cycles(self):
+        workers, _, bal = self._fleet(n=1, queue_cap=2)
+        bal.offer(Request(0, b"x", arrival=0))
+        bal.offer(Request(1, b"x", arrival=0))
+        bal.dispatch(0)                         # rid 0 in flight, 1 queued
+        bal.on_outcome(0, 0, "served", 4)
+        bal.dispatch(4)                         # rid 1 waited 4 ticks
+        assert [r for r, _ in workers[0].submitted] == [0, 1]
+        assert workers[0].waited == [0, 0]
 
     def test_crash_retries_then_fails(self):
         workers, sup, bal = self._fleet(max_attempts=2)

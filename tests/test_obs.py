@@ -21,7 +21,6 @@ from repro.obs import (
 )
 from repro.obs.trace import FleetTracer, mint_trace_id
 from repro.telemetry.tracer import SpanTracer
-from repro.workloads.netsim import NetworkSim
 
 from tests.util import eager_blocks, unfused  # noqa: F401  (fixtures)
 
@@ -68,40 +67,6 @@ class TestTraceIdentity:
         tracer.hop(2, "dispatch", 1, wid=0)
         assert tracer.dropped_traces == 1
         assert tracer.dropped_hops == 1
-
-
-class TestNetsimPropagation:
-    def test_trace_rides_the_frame(self):
-        net = NetworkSim()
-        conn = net.connect()
-        net.push(conn, b"GET a\n", trace="feedface00000001")
-        assert net.recv(conn, 64) is not None
-        assert net.last_recv_trace == "feedface00000001"
-
-    def test_trace_survives_maxlen_splits(self):
-        net = NetworkSim()
-        conn = net.connect()
-        net.push(conn, b"A" * 10, trace="cafe")
-        for _ in range(5):
-            assert net.recv(conn, 2) is not None
-            assert net.last_recv_trace == "cafe"
-
-    def test_trace_survives_per_mid_retry(self):
-        net = NetworkSim(retry_limit=3)
-        conn = net.connect()
-        net.push(conn, b"GET a\n", trace="beef")
-        assert net.recv(conn, 64) is not None
-        assert net.fail_request(conn, b"GET a\n")   # re-queue same mid
-        assert net.recv(conn, 64) is not None
-        assert net.last_recv_trace == "beef"
-
-    def test_trace_dropped_when_attempts_exhausted(self):
-        net = NetworkSim(retry_limit=0)
-        conn = net.connect()
-        net.push(conn, b"GET a\n", trace="dead")
-        assert net.recv(conn, 64) is not None
-        assert not net.fail_request(conn, b"GET a\n")  # exhausted
-        assert not net._traces
 
 
 class TestFleetPropagation:

@@ -290,7 +290,7 @@ class TestNetsimRejection:
     def test_rejected_counter_is_not_an_error(self):
         net = NetworkSim()
         conn = net.connect()
-        net.push(conn, b"GET a", priority="sheddable")
+        net.push(conn, b"GET a")
         net.reject_request(conn)
         stats = net.stats(per_conn=True)
         assert stats["rejected"] == 1
@@ -299,16 +299,6 @@ class TestNetsimRejection:
         assert stats["per_conn"][conn]["rejected"] == 1
         assert net.sent(conn) == [REJECTED_MARKER]
         assert REJECTED_MARKER != ERROR_MARKER
-
-    def test_priority_metadata_survives_recv(self):
-        net = NetworkSim()
-        conn = net.connect()
-        net.push(conn, b"GET a", priority="critical")
-        net.recv(conn, 64)
-        assert net.last_recv_priority == "critical"
-        net.push(conn, b"GET b")                # plain workloads: no class
-        net.recv(conn, 64)
-        assert net.last_recv_priority is None
 
 
 class _RejectingGate:
@@ -354,8 +344,8 @@ class _Worker:
         self.conn = 0
         self.submitted = []
 
-    def submit(self, rid, payload, priority="normal", waited_cycles=0):
-        self.submitted.append((rid, priority, waited_cycles))
+    def submit(self, rid, payload, waited_cycles=0):
+        self.submitted.append((rid, waited_cycles))
 
 
 class TestBalancerRejection:
@@ -400,10 +390,10 @@ class TestBalancerRejection:
         bal.offer(Request(0, b"x", 0, priority="normal"), now=0)
         bal.offer(Request(1, b"x", 0, priority="normal"), now=0)
         bal.dispatch(0)                         # rid 0 in flight, 1 queued
-        assert workers[0].submitted == [(0, "normal", 0)]
+        assert workers[0].submitted == [(0, 0)]
         bal.on_outcome(0, 0, "served", 3)
         bal.dispatch(3)                         # rid 1 waited 3 ticks
-        assert workers[0].submitted[1] == (1, "normal", 3_000)
+        assert workers[0].submitted[1] == (1, 3_000)
 
 
 class TestSLOOverloadAccounting:

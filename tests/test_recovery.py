@@ -12,6 +12,7 @@ import json
 
 import pytest
 
+from repro import forensics as forensics_mod
 from repro.fleet import CampaignConfig, EnclaveWorker, Supervisor, run_campaign
 from repro.minic import compile_source
 from repro.recovery import (
@@ -359,6 +360,24 @@ class TestRecoveryCampaigns:
         b = self._run(recovery="snapshot+wal", checkpoint_interval=10)
         assert json.dumps(a.as_dict(), sort_keys=True) == \
             json.dumps(b.as_dict(), sort_keys=True)
+
+    def test_standbys_do_not_observe_the_default_sink(self):
+        """Replicas and audit oracles observe no sink: the campaign's
+        flight log is the same whether its Forensics is passed in or
+        installed as the process-wide default (``--log-out``)."""
+        cfg = CampaignConfig(app="memcached", policy="abort", workers=2,
+                             fault_rate=0.2, seed=77, size="XS",
+                             recovery="replica")
+        explicit = forensics_mod.Forensics()
+        run_campaign(cfg, forensics=explicit)
+        default = forensics_mod.Forensics()
+        previous = forensics_mod.get_default()
+        forensics_mod.set_default(default)
+        try:
+            run_campaign(cfg)
+        finally:
+            forensics_mod.set_default(previous)
+        assert default.recorder.to_jsonl() == explicit.recorder.to_jsonl()
 
     def test_default_path_has_no_recovery_surface(self):
         result = self._run()

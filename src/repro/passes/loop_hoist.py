@@ -214,9 +214,12 @@ def _hoist_function(fn: Function) -> int:
             continue
 
         # Collect hoistable accesses: p = gep(base, ivar, scale); access [p].
+        # In block order: ``body`` is a set of names, whose iteration
+        # order would vary with the string hash seed.
         candidates: List[Tuple[Instr, Instr]] = []
-        for name in body:
-            blk = blocks[name]
+        for blk in fn.blocks:
+            if blk.name not in body:
+                continue
             for pos, ins in enumerate(blk.instrs):
                 if ins.op != ops.GEP or ins.b != ivar or ins.c != 0:
                     continue

@@ -149,7 +149,6 @@ class Balancer:
         #: Ticks→cycles conversion for watchdog backdating; None (the
         #: default) disables backdating entirely.
         self.tick_cycles = tick_cycles
-        self.rejected = 0
 
     # ------------------------------------------------------------------
     def offer(self, request: Request, now: int = 0) -> Optional[Request]:
@@ -174,7 +173,6 @@ class Balancer:
         request.status = "rejected"
         request.detail = reason
         request.completed_at = now
-        self.rejected += 1
         self.admission.on_reject(request, reason, now)
         # Surface the distinct RJCT frame on a live worker's client
         # connection so NetworkSim's rejected counter (satellite of this

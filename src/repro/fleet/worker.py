@@ -81,9 +81,7 @@ class EnclaveWorker:
         #: Recovery manager back-reference (set by ``RecoveryManager.attach``)
         #: so ``submit`` can write-ahead-log mutating requests.
         self.recovery = None
-        self.deduped = 0                  # mutations skipped as duplicates
         self.incarnations = 0
-        self.served = 0
         self.total_cycles = 0             # summed over dead incarnations
         self.total_epc_faults = 0         # likewise (anomaly detection)
         #: The worker's one VM: built, loaded and snapshotted by the first
@@ -174,7 +172,6 @@ class EnclaveWorker:
             # key would resurrect the older value).
             self.inflight = (rid, payload)
             self._dedup_ack = True
-            self.deduped += 1
             if self.forensics is not None:
                 self.forensics.record(
                     "dedup", ts=vm.counters.instructions, cat="fleet",
@@ -219,7 +216,6 @@ class EnclaveWorker:
             self._dedup_ack = False
             rid, _ = self.inflight
             self.inflight = None
-            self.served += 1
             return TickReport([(rid, SERVED)])
         if self._pause_ticks > 0:
             # Sealing a checkpoint: the enclave is busy with EGETKEY/GCM
@@ -327,7 +323,6 @@ class EnclaveWorker:
             return [(rid, ERROR)]
         if self.mutates is not None and self.mutates(payload):
             self.applied_rids.add(rid)
-        self.served += 1
         return [(rid, SERVED)]
 
     def _crash_report(self, outcomes: List[Tuple[int, str]],

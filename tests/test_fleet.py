@@ -400,7 +400,7 @@ class TestWorkerServes:
                 break
         assert outcomes == [(42, "served")]
         assert worker.outstanding == 0
-        assert worker.served == 1
+        assert worker.run_tick(5_000).outcomes == []   # served once
 
 
 def _memcached_module():

@@ -366,7 +366,7 @@ class TestBalancerRejection:
         assert second is not None               # turned away
         assert second.status == "rejected"
         assert second.detail == REJECT_DEADLINE
-        assert bal.rejected == 1
+        assert second.rid == 1
         assert gate.rejects == [(1, REJECT_DEADLINE)]
         # The RJCT frame surfaced on a live worker's client connection,
         # and the rejected request never reached a worker queue.

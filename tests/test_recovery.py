@@ -277,13 +277,17 @@ class TestWorkerDedup:
         assert outcomes == [(5, "served")]
         assert 5 in worker.applied_rids
         cycles_after_first = worker.vm.enclave.cycles()
+        applied = set(worker.applied_rids)
         # Hedged re-dispatch of the same rid: acked from the dedup table,
         # no VM work, no double-apply.
+        worker.forensics = forensics_mod.Forensics()
         worker.submit(5, payload)
         report = worker.run_tick(5_000)
         assert report.outcomes == [(5, "served")]
-        assert worker.deduped == 1
+        assert worker.applied_rids == applied
         assert worker.vm.enclave.cycles() == cycles_after_first
+        assert [(r.rid, r.wid) for r in
+                worker.forensics.recorder.events(kind="dedup")] == [(5, 0)]
 
 
 # ---------------------------------------------------------------------------

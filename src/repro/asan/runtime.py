@@ -74,11 +74,7 @@ class ASanScheme(SchemeRuntime):
     # -- compile-time ------------------------------------------------------
     def instrument(self, module: "Module") -> "Module":
         from repro.passes.instrument_asan import run_asan_instrumentation
-        from repro.passes.safe_access import run_safe_access
-        module = module.clone()
-        if self.optimize_safe:
-            run_safe_access(module)
-        return run_asan_instrumentation(module)
+        return run_asan_instrumentation(self.clone_for_passes(module))
 
     # -- lifecycle -----------------------------------------------------------
     def attach(self, vm: "VM") -> None:

@@ -62,11 +62,7 @@ class BaggyScheme(SchemeRuntime):
     # -- compile-time ----------------------------------------------------
     def instrument(self, module: "Module") -> "Module":
         from repro.passes.instrument_baggy import run_baggy_instrumentation
-        from repro.passes.safe_access import run_safe_access
-        module = module.clone()
-        if self.optimize_safe:
-            run_safe_access(module)
-        return run_baggy_instrumentation(module)
+        return run_baggy_instrumentation(self.clone_for_passes(module))
 
     # -- lifecycle ----------------------------------------------------------
     def attach(self, vm: "VM") -> None:

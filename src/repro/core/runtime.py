@@ -75,10 +75,7 @@ class SGXBoundsScheme(SchemeRuntime):
     def instrument(self, module: "Module") -> "Module":
         from repro.passes.instrument_sgxbounds import run_sgxbounds_instrumentation
         from repro.passes.loop_hoist import run_loop_hoist
-        from repro.passes.safe_access import run_safe_access
-        module = module.clone()
-        if self.optimize_safe:
-            run_safe_access(module)
+        module = self.clone_for_passes(module)
         if self.optimize_hoist:
             run_loop_hoist(module)
         return run_sgxbounds_instrumentation(

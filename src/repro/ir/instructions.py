@@ -101,6 +101,9 @@ class FuncRef:
         return hash(("func", self.name))
 
 
+_new_instr = object.__new__
+
+
 class Instr:
     """One IR instruction.
 
@@ -149,11 +152,28 @@ class Instr:
         self.line = line
 
     def copy(self) -> "Instr":
-        """Shallow copy (used by passes cloning functions)."""
-        return Instr(self.op, self.dest, self.a, self.b, self.c, self.size,
-                     self.signed, self.is_float, self.is_pointer, self.clamp,
-                     self.safe, self.name, self.args, self.t1, self.t2,
-                     self.comment, self.line)
+        """Shallow copy (used by passes cloning functions): the slots are
+        assigned directly, skipping ``__init__`` and its ``args`` re-wrap
+        (``args`` is already a tuple)."""
+        other = _new_instr(Instr)
+        other.op = self.op
+        other.dest = self.dest
+        other.a = self.a
+        other.b = self.b
+        other.c = self.c
+        other.size = self.size
+        other.signed = self.signed
+        other.is_float = self.is_float
+        other.is_pointer = self.is_pointer
+        other.clamp = self.clamp
+        other.safe = self.safe
+        other.name = self.name
+        other.args = self.args
+        other.t1 = self.t1
+        other.t2 = self.t2
+        other.comment = self.comment
+        other.line = self.line
+        return other
 
     def operands(self) -> List[int]:
         """All operand encodings this instruction reads.

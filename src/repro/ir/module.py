@@ -19,6 +19,8 @@ from repro.ir.instructions import (
 )
 from repro.memory.layout import align_up
 
+_copy = Instr.copy
+
 
 class GlobalVar:
     """A module-level variable (or string literal).
@@ -149,28 +151,32 @@ class Function:
             code.extend(blk.instrs)
         offset = 0
         for ins in code:
-            if ins.op == ALLOCA:
+            op = ins.op
+            if op == ALLOCA:
                 align = max(ins.b or 8, 1)
                 offset = align_up(offset, align)
                 ins.c = offset
                 offset += ins.size
+            elif op == BR or op == JMP:
+                t1, t2 = ins.t1, ins.t2
+                if isinstance(t1, str):
+                    ins.t1 = self._target(index, t1)
+                if isinstance(t2, str):
+                    ins.t2 = self._target(index, t2)
         # Locals sit below the return-address slot; overflowing a local
         # buffer upward therefore reaches the return address, like x86.
         self.frame_size = align_up(offset, 16) + self.RET_SLOT
-        for ins in code:
-            if ins.op in (BR, JMP):
-                for attr in ("t1", "t2"):
-                    target = getattr(ins, attr)
-                    if isinstance(target, str):
-                        if target not in index:
-                            raise IRVerifyError(
-                                f"{self.name}: branch to unknown block {target!r}")
-                        setattr(ins, attr, index[target])
         self.code = code
         self.block_index = index
         self.block_starts = frozenset(index.values())
         self.finalized = True
         return self
+
+    def _target(self, index: Dict[str, int], target: str) -> int:
+        if target not in index:
+            raise IRVerifyError(
+                f"{self.name}: branch to unknown block {target!r}")
+        return index[target]
 
     def clone(self) -> "Function":
         """Deep-enough copy for passes: new blocks/instrs, shared consts
@@ -182,7 +188,7 @@ class Function:
         other._const_index = dict(self._const_index)
         for blk in self.blocks:
             new = other.block(blk.name)
-            new.instrs = [ins.copy() for ins in blk.instrs]
+            new.instrs = list(map(_copy, blk.instrs))
         return other
 
     def __repr__(self) -> str:
@@ -202,6 +208,9 @@ class Module:
         self.functions: Dict[str, Function] = {}
         self.globals: Dict[str, GlobalVar] = {}
         self.meta: Dict[str, object] = {}
+        #: The safe-access analysis of this module object, kept by
+        #: :func:`repro.passes.safe_access.safe_clone` (never cloned).
+        self.safe_sites: Optional[tuple] = None
 
     def add_function(self, fn: Function) -> Function:
         if fn.name in self.functions:

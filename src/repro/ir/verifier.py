@@ -11,7 +11,7 @@ from typing import List
 
 from repro.errors import IRVerifyError
 from repro.ir import instructions as ops
-from repro.ir.instructions import Instr, is_reg, slot_of
+from repro.ir.instructions import Instr
 from repro.ir.module import Function, Module
 
 _NEEDS_DEST = (
@@ -22,19 +22,38 @@ _NEEDS_DEST = (
 )
 
 
-def _check_operand(fn: Function, ins: Instr, operand: int, errors: List[str]) -> None:
-    if is_reg(operand):
-        if operand >= fn.nregs:
-            errors.append(
-                f"{fn.name}: register r{operand} out of range in "
-                f"{ops.OP_NAMES.get(ins.op)}")
-    else:
-        slot = slot_of(operand)
-        if slot >= len(fn.consts):
+def _check_operands(fn: Function, module: Module, ins: Instr,
+                    errors: List[str], refs: List[str]) -> None:
+    """Range-check each operand; a constant naming a global or function
+    the module lacks is reported in ``refs``."""
+    nregs = fn.nregs
+    consts = fn.consts
+    for operand in ins.operands():
+        if operand >= 0:
+            if operand >= nregs:
+                errors.append(
+                    f"{fn.name}: register r{operand} out of range in "
+                    f"{ops.OP_NAMES.get(ins.op)}")
+            continue
+        slot = -operand - 1
+        if slot >= len(consts):
             errors.append(f"{fn.name}: constant slot {slot} out of range")
+            continue
+        value = consts[slot]
+        if isinstance(value, ops.GlobalRef):
+            if value.name not in module.globals:
+                refs.append(f"{fn.name}: reference to unknown global "
+                            f"@{value.name}")
+        elif isinstance(value, ops.FuncRef) \
+                and value.name not in module.functions:
+            refs.append(f"{fn.name}: reference to unknown function "
+                        f"&{value.name}")
 
 
-def verify_function(fn: Function, module: Module, errors: List[str]) -> None:
+def verify_function(fn: Function, module: Module, errors: List[str],
+                    refs: List[str]) -> None:
+    """Append ``fn``'s structural problems to ``errors`` and its dangling
+    global/function references to ``refs``, in one walk."""
     if not fn.blocks:
         errors.append(f"{fn.name}: function has no blocks")
         return
@@ -57,8 +76,7 @@ def verify_function(fn: Function, module: Module, errors: List[str]) -> None:
             if ins.dest is not None and ins.dest >= fn.nregs:
                 errors.append(
                     f"{fn.name}/{blk.name}: dest r{ins.dest} out of range")
-            for operand in ins.operands():
-                _check_operand(fn, ins, operand, errors)
+            _check_operands(fn, module, ins, errors, refs)
             if ins.op == ops.BR:
                 for target in (ins.t1, ins.t2):
                     if isinstance(target, str) and target not in block_names:
@@ -88,26 +106,13 @@ def verify_function(fn: Function, module: Module, errors: List[str]) -> None:
 
 
 def verify_module(module: Module) -> None:
-    """Raise :class:`IRVerifyError` listing every problem found."""
+    """Raise :class:`IRVerifyError` listing every problem found: the
+    structural ones first, then the dangling references."""
     errors: List[str] = []
+    refs: List[str] = []
     for fn in module.functions.values():
-        verify_function(fn, module, errors)
-    for fn in module.functions.values():
-        for blk in fn.blocks:
-            for ins in blk.instrs:
-                for operand in ins.operands():
-                    if not is_reg(operand):
-                        value = fn.consts[slot_of(operand)]
-                        if isinstance(value, ops.GlobalRef) \
-                                and value.name not in module.globals:
-                            errors.append(
-                                f"{fn.name}: reference to unknown global "
-                                f"@{value.name}")
-                        elif isinstance(value, ops.FuncRef) \
-                                and value.name not in module.functions:
-                            errors.append(
-                                f"{fn.name}: reference to unknown function "
-                                f"&{value.name}")
+        verify_function(fn, module, errors, refs)
+    errors += refs
     if errors:
         raise IRVerifyError("; ".join(errors[:20]) +
                             (f" (+{len(errors) - 20} more)" if len(errors) > 20 else ""))

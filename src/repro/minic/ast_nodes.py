@@ -6,7 +6,7 @@ Every node carries the source line for error messages.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import AbstractSet, List, Optional, Sequence, Tuple
 
 from repro.minic.ctypes import CType
 
@@ -261,15 +261,20 @@ class Continue(Stmt):
 
 # -- top level --------------------------------------------------------------------
 class FuncDef(Node):
-    __slots__ = ("name", "ret", "params", "body")
+    """``address_taken``: the names the body applies ``&`` to, recorded
+    by the parser as it builds the body."""
+
+    __slots__ = ("name", "ret", "params", "body", "address_taken")
 
     def __init__(self, name: str, ret: CType,
-                 params: List[Tuple[str, CType]], body: Block, line: int = 0):
+                 params: List[Tuple[str, CType]], body: Block, line: int = 0,
+                 address_taken: AbstractSet[str] = frozenset()):
         super().__init__(line)
         self.name = name
         self.ret = ret
         self.params = params
         self.body = body
+        self.address_taken = address_taken
 
 
 class GlobalDecl(Node):

@@ -49,21 +49,6 @@ _MEM = "mem"
 _REG = "reg"
 
 
-def _collect_address_taken(node: ast.Node, names: set) -> None:
-    """Find locals whose address is taken (must live in memory)."""
-    if isinstance(node, ast.Unary) and node.op == "&" \
-            and isinstance(node.expr, ast.Ident):
-        names.add(node.expr.name)
-    for slot in getattr(node, "__slots__", ()):
-        child = getattr(node, slot, None)
-        if isinstance(child, ast.Node):
-            _collect_address_taken(child, names)
-        elif isinstance(child, list):
-            for item in child:
-                if isinstance(item, ast.Node):
-                    _collect_address_taken(item, names)
-
-
 class UnitCodegen:
     """Compiles one translation unit into an IR module."""
 
@@ -217,9 +202,7 @@ class FunctionCodegen:
         self.continue_stack: List[str] = []
         self.label_counter = 0
         self.terminated = False
-        address_taken: set = set()
-        _collect_address_taken(decl.body, address_taken)
-        self.address_taken = address_taken
+        self.address_taken = decl.address_taken
 
     # -- infrastructure -----------------------------------------------------
     def label(self, hint: str) -> str:

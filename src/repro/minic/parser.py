@@ -47,6 +47,9 @@ class Parser:
         self.pos = 0
         self.name = name
         self.structs: Dict[str, ct.Struct] = {}
+        #: Names under ``&`` in the function body being parsed (the locals
+        #: codegen must keep in memory); outside a body, a scratch set.
+        self.address_taken: set = set()
 
     # -- token helpers ----------------------------------------------------
     def peek(self, ahead: int = 0) -> Token:
@@ -202,8 +205,10 @@ class Parser:
                     if not self.accept("op", ","):
                         break
         self.expect("op", ")")
+        taken = self.address_taken = set()
         body = self.parse_block()
-        return ast.FuncDef(name, ret, params, body, line)
+        self.address_taken = set()
+        return ast.FuncDef(name, ret, params, body, line, taken)
 
     # -- statements ----------------------------------------------------------
     def parse_block(self) -> ast.Block:
@@ -365,6 +370,8 @@ class Parser:
                 expr = self.parse_unary()
                 if token.value == "+":
                     return expr
+                if token.value == "&" and isinstance(expr, ast.Ident):
+                    self.address_taken.add(expr.name)
                 return ast.Unary(token.value, expr, token.line)
             if token.value in ("++", "--"):
                 self.next()

@@ -63,11 +63,7 @@ class MPXScheme(SchemeRuntime):
     # -- compile-time ----------------------------------------------------
     def instrument(self, module: "Module") -> "Module":
         from repro.passes.instrument_mpx import run_mpx_instrumentation
-        from repro.passes.safe_access import run_safe_access
-        module = module.clone()
-        if self.optimize_safe:
-            run_safe_access(module)
-        return run_mpx_instrumentation(module)
+        return run_mpx_instrumentation(self.clone_for_passes(module))
 
     # -- lifecycle ----------------------------------------------------------
     def attach(self, vm: "VM") -> None:

@@ -10,11 +10,16 @@ The analysis is flow-insensitive for single-assignment registers (facts
 hold function-wide) and block-local otherwise — conservative, never
 unsound: a register fact is (object size, constant offset), and an access
 is safe iff ``0 <= offset`` and ``offset + access_size <= object size``.
+
+Every instrumenting scheme starts from a clone of the same compiled
+module, so :func:`safe_clone` analyses a module object once and re-applies
+the result — the positions of the safe instructions — to each later
+clone.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.ir import ops
 from repro.ir.instructions import GlobalRef, is_reg, slot_of
@@ -138,3 +143,35 @@ def run_safe_access(module: Module) -> int:
                     else:
                         facts.pop(dest, None)
     return marked
+
+
+def _shape(module: Module) -> tuple:
+    """What an analysis result is valid for: every function by name and
+    identity, with the identity of each instruction of each block."""
+    return tuple((name, fn, tuple(tuple(blk.instrs) for blk in fn.blocks))
+                 for name, fn in module.functions.items())
+
+
+def safe_clone(module: Module) -> Module:
+    """``module.clone()`` with its provably safe accesses marked.
+
+    The first call on a module object runs :func:`run_safe_access` on the
+    clone and keeps the safe sites on ``module``; later calls mark the
+    same sites on their clone.  ``build_vm`` never mutates a module, but
+    should its functions or any block's instruction list change, the
+    sites no longer match and the analysis runs again."""
+    clone = module.clone()
+    shape = _shape(module)
+    cached = module.safe_sites
+    if cached is not None and cached[0] == shape:
+        functions = clone.functions
+        for name, b, i in cached[1]:
+            functions[name].blocks[b].instrs[i].safe = True
+        return clone
+    run_safe_access(clone)
+    sites: List[Tuple[str, int, int]] = [
+        (name, b, i) for name, fn in clone.functions.items()
+        for b, blk in enumerate(fn.blocks)
+        for i, ins in enumerate(blk.instrs) if ins.safe]
+    module.safe_sites = (shape, sites)
+    return clone

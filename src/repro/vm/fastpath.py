@@ -351,12 +351,14 @@ def _make_binop(ins, consts, npc, counters):
     fn2 = _BIN_FN[ins.op]
     dest, a, b = ins.dest, ins.a, ins.b
     if a >= 0 and b >= 0:
-        def h(frame, regs, thread):
+        def h(frame, regs, thread, counters=counters, fn2=fn2, dest=dest,
+              a=a, b=b, npc=npc):
             counters.instructions += 1
             regs[dest] = fn2(regs[a], regs[b])
             return npc
         return h
-    def h(frame, regs, thread):
+    def h(frame, regs, thread, counters=counters, fn2=fn2, dest=dest, a=a,
+          b=b, consts=consts, npc=npc):
         # Not folded at predecode: division by a zero constant must trap
         # at execution time, when the instruction runs.
         counters.instructions += 1
@@ -368,15 +370,20 @@ def _make_binop(ins, consts, npc, counters):
 
 # ---------------------------------------------------------------------------
 # Plain handlers of the ops compiled blocks do not emit as source: each
-# maker resolves operands once and returns a closure; ``npc`` is the baked
-# fall-through index.
+# maker resolves operands once and returns a handler with everything it
+# reads bound as default arguments, as generated handlers do (locals are
+# faster to read than closure cells, and a handler without cells is
+# fewer objects for the collector); ``npc`` is the baked fall-through
+# index.
 # ---------------------------------------------------------------------------
 
 def _make_atomicrmw(ins, consts, npc, counters, mem):
     a, b, dest, size, kind = ins.a, ins.b, ins.dest, ins.size, ins.name
     read_uint = mem.reader(size)
     write_uint = mem.writer(size)
-    def h(frame, regs, thread):
+    def h(frame, regs, thread, counters=counters, a=a, b=b, dest=dest,
+          kind=kind, read_uint=read_uint, write_uint=write_uint,
+          consts=consts, npc=npc):
         counters.instructions += 1
         addr = (regs[a] if a >= 0 else consts[-a - 1]) & M32
         val = regs[b] if b >= 0 else consts[-b - 1]
@@ -400,7 +407,9 @@ def _make_cmpxchg(ins, consts, npc, counters, mem):
     a, b, c, dest, size = ins.a, ins.b, ins.c, ins.dest, ins.size
     read_uint = mem.reader(size)
     write_uint = mem.writer(size)
-    def h(frame, regs, thread):
+    def h(frame, regs, thread, counters=counters, a=a, b=b, c=c, dest=dest,
+          read_uint=read_uint, write_uint=write_uint, consts=consts,
+          npc=npc):
         counters.instructions += 1
         addr = (regs[a] if a >= 0 else consts[-a - 1]) & M32
         expected = regs[b] if b >= 0 else consts[-b - 1]
@@ -415,7 +424,8 @@ def _make_cmpxchg(ins, consts, npc, counters, mem):
 
 def _make_bndmk(ins, consts, npc, counters):
     a, b, dest = ins.a, ins.b, ins.dest
-    def h(frame, regs, thread):
+    def h(frame, regs, thread, counters=counters, a=a, b=b, dest=dest,
+          consts=consts, npc=npc):
         counters.instructions += 1
         base = (regs[a] if a >= 0 else consts[-a - 1]) & M32
         size = regs[b] if b >= 0 else consts[-b - 1]
@@ -429,7 +439,8 @@ def _make_bndcl(ins, consts, npc, counters, vm):
     a, breg = ins.a, ins.dest
     inc = 2 + (ins.c or 0)   # loop-top 1 + micro-coded 1 + spill cost
     scheme = vm.scheme
-    def h(frame, regs, thread):
+    def h(frame, regs, thread, counters=counters, a=a, breg=breg, inc=inc,
+          scheme=scheme, vm=vm, consts=consts, npc=npc):
         counters.instructions += inc
         counters.bounds_checks += 1
         fb = frame.bounds
@@ -449,7 +460,8 @@ def _make_bndcu(ins, consts, npc, counters, vm):
     a, breg, size = ins.a, ins.dest, ins.size
     inc = 2 + (ins.c or 0)
     scheme = vm.scheme
-    def h(frame, regs, thread):
+    def h(frame, regs, thread, counters=counters, a=a, breg=breg, size=size,
+          inc=inc, scheme=scheme, vm=vm, consts=consts, npc=npc):
         counters.instructions += inc
         counters.bounds_checks += 1
         fb = frame.bounds
@@ -468,7 +480,8 @@ def _make_bndcu(ins, consts, npc, counters, vm):
 def _make_bndldx(ins, consts, npc, counters, vm):
     a, dest = ins.a, ins.dest
     scheme = vm.scheme
-    def h(frame, regs, thread):
+    def h(frame, regs, thread, counters=counters, a=a, dest=dest,
+          scheme=scheme, vm=vm, consts=consts, npc=npc):
         counters.instructions += 5   # loop-top 1 + BD/BT walk 4
         slot = (regs[a] if a >= 0 else consts[-a - 1]) & M32
         fb = frame.bounds
@@ -485,7 +498,8 @@ def _make_bndldx(ins, consts, npc, counters, vm):
 def _make_bndstx(ins, consts, npc, counters, vm):
     a, dest = ins.a, ins.dest
     scheme = vm.scheme
-    def h(frame, regs, thread):
+    def h(frame, regs, thread, counters=counters, a=a, dest=dest,
+          scheme=scheme, vm=vm, consts=consts, npc=npc):
         counters.instructions += 5
         slot = (regs[a] if a >= 0 else consts[-a - 1]) & M32
         fb = frame.bounds
@@ -497,14 +511,14 @@ def _make_bndstx(ins, consts, npc, counters, vm):
 
 def _make_trap(ins, counters):
     message = ins.name or "trap"
-    def h(frame, regs, thread):
+    def h(frame, regs, thread, counters=counters, message=message):
         counters.instructions += 1
         raise TrapError(message)
     return h
 
 
 def _make_raise(message, counters):
-    def h(frame, regs, thread):
+    def h(frame, regs, thread, counters=counters, message=message):
         counters.instructions += 1
         raise VMError(message)
     return h
@@ -536,7 +550,9 @@ def _make_call(ins, consts, i, counters, vm, track_bounds):
             # in after predecode — or a genuinely unknown name — is seen
             # when the call runs.
             natives = vm.natives
-            def h(frame, regs, thread):
+            def h(frame, regs, thread, counters=counters, plan=plan,
+                  natives=natives, name=name, track_bounds=track_bounds,
+                  args=args, vm=vm, telem=telem, i=i, dest=dest, npc=npc):
                 counters.instructions += 1
                 counters.calls += 1
                 values = [regs[x] if isreg else x
@@ -582,7 +598,9 @@ def _make_call(ins, consts, i, counters, vm, track_bounds):
                 return npc
             return h
 
-        def h(frame, regs, thread):
+        def h(frame, regs, thread, counters=counters, plan=plan,
+              track_bounds=track_bounds, args=args, npc=npc, vm=vm,
+              callee=callee, dest=dest):
             counters.instructions += 1
             counters.calls += 1
             values = [regs[x] if isreg else x for isreg, x in plan]
@@ -600,7 +618,9 @@ def _make_call(ins, consts, i, counters, vm, track_bounds):
 
     # Indirect call through a register/constant function pointer.
     a = ins.a
-    def h(frame, regs, thread):
+    def h(frame, regs, thread, counters=counters, plan=plan, a=a,
+          consts=consts, program=program, track_bounds=track_bounds,
+          args=args, npc=npc, vm=vm, dest=dest):
         counters.instructions += 1
         counters.calls += 1
         values = [regs[x] if isreg else x for isreg, x in plan]
@@ -626,7 +646,9 @@ def _make_ret(ins, consts, counters, vm, track_bounds, mem):
     telem = vm.telemetry
     read_u64 = mem.reader(8)
     aval = None if a is None or a >= 0 else consts[-a - 1]
-    def h(frame, regs, thread):
+    def h(frame, regs, thread, counters=counters, a=a, aval=aval,
+          read_u64=read_u64, vm=vm, track_bounds=track_bounds,
+          telem=telem):
         counters.instructions += 1
         if a is None:
             value = 0
@@ -671,7 +693,9 @@ def _make_plain(ins, consts, i, counters, vm, track_bounds, mem):
     op = ins.op
     npc = i + 1
     if op in _RENDERED_OPS:
-        return _plain_make(ins, track_bounds)(counters, mem, consts, ins, npc)
+        make = _PLAIN_MAKES.get(_shape(ins, track_bounds)) \
+            or _plain_make(ins, track_bounds)
+        return make(counters, mem, consts, ins, npc)
     if op in _BIN_FN:
         return _make_binop(ins, consts, npc, counters)
     if op == ops.CALL:
@@ -739,8 +763,8 @@ def compile_function(vm, fn, consts) -> FastCode:
     code = fn.code
     n = len(code)
     plain: List[Handler] = [
-        _make_plain(code[i], consts, i, counters, vm, track_bounds, mem)
-        for i in range(n)]
+        _make_plain(ins, consts, i, counters, vm, track_bounds, mem)
+        for i, ins in enumerate(code)]
     starts = fn.block_starts
     # Block hits are only tallied when telemetry observes the run: the
     # default path keeps the zero-cost-when-off contract.
@@ -755,9 +779,9 @@ def compile_function(vm, fn, consts) -> FastCode:
     # compiled only once it turns hot.
     fc = FastCode(list(plain), [1] * n, plain, code)
     ctx = _BlockContext(fn.name, consts, starts, counters, mem,
-                        track_bounds, stats)
+                        track_bounds, stats, n)
     heads = set(starts)
-    heads.update(k + 1 for k in range(n) if code[k].op == ops.CALL)
+    heads.update([k + 1 for k, ins in enumerate(code) if ins.op == ops.CALL])
     for head in heads:
         if head + 1 < n and head + 1 not in starts \
                 and code[head].op in _STRAIGHT_OPS \
@@ -855,13 +879,15 @@ _REGION_OPS = _STRAIGHT_OPS | _TERM_OPS
 
 
 class _BlockContext:
-    """What compiling one function's blocks needs, bound at predecode."""
+    """What compiling one function's blocks needs, bound at predecode.
+    ``left`` counts down each region head's entries to BLOCK_THRESHOLD
+    (one table per function, indexed by code position)."""
 
     __slots__ = ("name", "consts", "starts", "counters", "mem",
-                 "track_bounds", "stats")
+                 "track_bounds", "stats", "left")
 
     def __init__(self, name, consts, starts, counters, mem, track_bounds,
-                 stats):
+                 stats, size):
         self.name = name
         self.consts = consts
         self.starts = starts
@@ -869,18 +895,17 @@ class _BlockContext:
         self.mem = mem
         self.track_bounds = track_bounds
         self.stats = stats
+        self.left = [BLOCK_THRESHOLD] * size
 
 
 def _block_entry(fc: FastCode, head: int, ctx: _BlockContext) -> Handler:
     """Run the head's predecoded handler, counting entries; the
     BLOCK_THRESHOLD-th entry compiles the region, which replaces this
     handler from the next entry on."""
-    inner = fc.plain[head]
-    left = BLOCK_THRESHOLD
-    def h(frame, regs, thread):
-        nonlocal left
-        left -= 1
-        if not left:
+    def h(frame, regs, thread, inner=fc.plain[head], left=ctx.left,
+          fc=fc, head=head, ctx=ctx):
+        left[head] -= 1
+        if not left[head]:
             _install_block(fc, head, ctx)
         return inner(frame, regs, thread)
     return h

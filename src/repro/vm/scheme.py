@@ -40,6 +40,9 @@ class SchemeRuntime:
     #: Minimum alignment the loader must give globals (ASan needs its
     #: 8-byte shadow granule).
     global_min_align = 1
+    #: Whether :meth:`clone_for_passes` marks provably safe accesses
+    #: (§4.4); the instrumenting schemes take it as an option.
+    optimize_safe = False
     #: Attributes a run mutates; :meth:`snapshot` copies them by value.
     #: Each scheme extends it with its own allocation and metadata state.
     run_state: Tuple[str, ...] = ("violations", "violation_log")
@@ -109,6 +112,13 @@ class SchemeRuntime:
     def instrument(self, module: "Module") -> "Module":
         """Apply this scheme's compile-time pass (identity for native)."""
         return module
+
+    def clone_for_passes(self, module: "Module") -> "Module":
+        """The clone of ``module`` this scheme's passes rewrite, its safe
+        accesses marked under ``optimize_safe`` (one analysis per module
+        object, shared by every scheme that instruments it)."""
+        from repro.passes.safe_access import safe_clone
+        return safe_clone(module) if self.optimize_safe else module.clone()
 
     def snapshot(self) -> object:
         """The :attr:`run_state` attributes, by value (a fleet worker's

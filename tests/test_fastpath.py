@@ -466,6 +466,28 @@ def test_predecode_shape():
         assert fc.handlers[i].__qualname__ == "_block_entry.<locals>.h"
 
 
+def test_handlers_hold_no_closure_cells():
+    """Every handler predecode returns binds what it reads as default
+    arguments: none holds closure cells, under any scheme."""
+    from repro.harness.runner import SCHEMES
+    from repro.minic import compile_source
+    from tests.genprog import corpus
+
+    for source in corpus(1234, 10):
+        module = compile_source(source)
+        for make_scheme in SCHEMES.values():
+            scheme = make_scheme()
+            built = scheme.instrument(module) if scheme else module.clone()
+            vm = VM(scheme=scheme)
+            vm.load(built.finalize())
+            for fn in built.functions.values():
+                fc = compile_function(vm, fn, vm.program.resolved_consts[
+                    fn.name])
+                for handler in fc.handlers + fc.plain:
+                    assert handler.__closure__ is None, \
+                        handler.__qualname__
+
+
 def test_calls_never_fused():
     """BLOCK_RETRY re-executes the CALL by index: every CALL must keep a
     cost-1 plain handler even when surrounded by straight-line code."""

@@ -117,6 +117,22 @@ class TestVerifier:
         with pytest.raises(IRVerifyError, match="mid-block"):
             verify_module(self._module_with(fn))
 
+    def test_out_of_range_constant_slot(self):
+        fn, b = _simple_fn()
+        b.add(0, -99)               # constant slot 98 of an empty pool
+        b.ret(0)
+        with pytest.raises(IRVerifyError, match="constant slot 98"):
+            verify_module(self._module_with(fn))
+
+    def test_dangling_references_listed_after_structure(self):
+        fn, b = _simple_fn()
+        b.mov(b.gref("nope"))
+        b.add(999, b.k(1))
+        b.ret(0)
+        with pytest.raises(IRVerifyError,
+                           match="r999 out of range.*unknown global @nope"):
+            verify_module(self._module_with(fn))
+
     def test_unknown_global_reference(self):
         fn, b = _simple_fn()
         b.mov(b.gref("nope"))

@@ -92,6 +92,19 @@ class TestParser:
         assert fn.name == "add"
         assert [p[0] for p in fn.params] == ["a", "b"]
 
+    def test_address_taken_recorded_per_function(self):
+        """The parser records each body's ``&name`` operands, nested
+        scopes included; a global initializer's ``&`` reaches no body."""
+        unit, _ = parse("""
+        int f(int a, int b) { int c; { int *p = &(c); } return *(&a) + b; }
+        int g(int x) { return x & 1; }
+        int y;
+        int *q = &y;
+        """)
+        f, g = unit.decls[0], unit.decls[1]
+        assert f.address_taken == {"a", "c"}
+        assert g.address_taken == set()
+
     def test_struct_definition(self):
         _, structs = parse("struct P { int x; double d; char tag[4]; };")
         struct = structs["P"]

@@ -168,6 +168,91 @@ class TestLoopHoist:
         assert not scheme.optimize_hoist
 
 
+_SHARED_SRC = """
+struct P { int a; int b; };
+int g[8];
+int main() {
+    struct P p; p.a = 1; p.b = 2;
+    g[3] = p.a;
+    int *h = (int*)malloc(16);
+    h[1] = g[3] + p.b;
+    return h[1];
+}
+"""
+
+
+def _instrumenting_schemes(**kwargs):
+    from repro.asan import ASanScheme
+    from repro.baggy import BaggyScheme
+    from repro.mpx import MPXScheme
+    return (SGXBoundsScheme(**kwargs), ASanScheme(**kwargs),
+            MPXScheme(**kwargs), BaggyScheme(**kwargs))
+
+
+@pytest.fixture
+def analyses(monkeypatch):
+    """The modules the safe-access analysis runs on, in order."""
+    from repro.passes import safe_access
+    seen = []
+    real = safe_access.run_safe_access
+
+    def counted(module):
+        seen.append(module)
+        return real(module)
+
+    monkeypatch.setattr(safe_access, "run_safe_access", counted)
+    return seen
+
+
+class TestSharedSafeAccess:
+    def test_one_analysis_for_every_scheme(self, analyses):
+        from repro.ir import print_module
+        module = compile_source(_SHARED_SRC)
+        images = [scheme.instrument(module)
+                  for scheme in _instrumenting_schemes()]
+        assert len(analyses) == 1
+        # Each reused result marks what a fresh analysis would.
+        for scheme, image in zip(_instrumenting_schemes(), images):
+            fresh = scheme.instrument(compile_source(_SHARED_SRC))
+            assert print_module(image) == print_module(fresh), scheme.name
+        assert _count(images[0], lambda ins: ins.safe) > 0
+
+    def test_added_function_reanalyses(self, analyses):
+        module = compile_source(_SHARED_SRC)
+        SGXBoundsScheme().instrument(module)
+        extra = compile_source("int f() { int a[2]; a[1] = 3; return a[1]; }")
+        module.add_function(extra.functions["f"])
+        image = SGXBoundsScheme().instrument(module)
+        assert len(analyses) == 2
+        assert _count(image, lambda ins: ins.safe and ins.op == ops.STORE) \
+            > 0
+
+    def test_edited_instruction_list_reanalyses(self, analyses):
+        from repro.ir.instructions import Instr
+        module = compile_source(_SHARED_SRC)
+        blk = module.functions["main"].blocks[0]
+        SGXBoundsScheme().instrument(module)
+        blk.instrs.insert(0, Instr(ops.NOP))
+        SGXBoundsScheme().instrument(module)
+        assert len(analyses) == 2
+        blk.instrs[1] = blk.instrs[1].copy()
+        SGXBoundsScheme().instrument(module)
+        assert len(analyses) == 3
+        SGXBoundsScheme().instrument(module)
+        assert len(analyses) == 3
+
+    def test_unoptimized_builds_carry_no_safe_marks(self, analyses):
+        module = compile_source(_SHARED_SRC)
+        SGXBoundsScheme().instrument(module)    # leaves a shared result
+        for scheme in _instrumenting_schemes(optimize_safe=False):
+            clone = scheme.clone_for_passes(module)
+            assert _count(clone, lambda ins: ins.safe) == 0, scheme.name
+        image = SGXBoundsScheme(optimize_safe=False,
+                                optimize_hoist=False).instrument(module)
+        assert image.meta["checks_elided"] == 0
+        assert len(analyses) == 1
+
+
 class TestInstrumentationStructure:
     def test_sgxbounds_inserts_checks(self):
         src = "int main() { int *p = (int*)malloc(8); p[0] = 1; return p[0]; }"

@@ -229,7 +229,7 @@ class EnclaveWorker:
             if self._watchdog_fired():
                 return self._crash_report(outcomes)
             return TickReport(outcomes)
-        if not any(t.state == vm_mod.RUNNABLE for t in vm.threads):
+        if self._parked():
             return TickReport(self._drain_replies())   # parked in recv
         start = vm.enclave.cycles()
         while vm.enclave.cycles() - start < cycle_budget:
@@ -247,6 +247,21 @@ class EnclaveWorker:
                 return self._crash_report(outcomes, thread)
         outcomes.extend(self._drain_replies())
         return TickReport(outcomes)
+
+    def quiet(self) -> bool:
+        """True when :meth:`run_tick` would change nothing: no scripted
+        stall or pending ack, every thread parked, and no unread message
+        that a reply drain would consume.  Reads only."""
+        if self._dedup_ack or self._pause_ticks or self._hang_ticks:
+            return False
+        if not self._parked():
+            return False
+        return (self.inflight is None
+                or len(self.vm.net.sent(self.conn)) <= self._sent_seen)
+
+    def _parked(self) -> bool:
+        """No thread can run until a message unblocks one."""
+        return not any(t.state == vm_mod.RUNNABLE for t in self.vm.threads)
 
     # ------------------------------------------------------------------
     def drive_control(self, payload: bytes,

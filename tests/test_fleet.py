@@ -3,6 +3,7 @@ and campaign determinism."""
 
 import collections
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -259,6 +260,27 @@ class TestSupervisorLifecycle:
         assert sup.deaths == 1
         assert sup.records[0].crashes == 8
 
+    def test_next_timer_is_the_earliest_armed_promotion(self):
+        sup = self._sup(startup_ticks=1)
+        assert sup.next_timer(0) == 1           # both workers booting
+        sup.tick(1)
+        assert sup.next_timer(2) is None        # all healthy: no timer
+        sup.on_crash(_StubWorker(0, pages=4), now=10, reason="X")
+        assert sup.next_timer(11) == 70         # restarting: 300k cycles
+        assert sup.next_timer(80) == 80         # overdue fires at once
+        assert sup.tick(70) == [0]
+        assert sup.status(0) == sup_mod.STARTING
+        assert sup.next_timer(71) == 71         # starting: ready_at 71
+        sup.tick(71)
+        assert sup.next_timer(72) is None
+
+    def test_next_timer_ignores_dead_workers(self):
+        sup = self._sup(startup_ticks=0, crash_loop_k=1)
+        sup.tick(0)
+        assert sup.on_crash(_StubWorker(0), now=3, reason="X") is None
+        assert sup.status(0) == sup_mod.DEAD
+        assert sup.next_timer(4) is None
+
 
 class TestBalancer:
     def _fleet(self, n=2, **kw):
@@ -401,6 +423,101 @@ class TestWorkerServes:
         assert outcomes == [(42, "served")]
         assert worker.outstanding == 0
         assert worker.run_tick(5_000).outcomes == []   # served once
+
+
+def _settle(worker, ticks=200):
+    """Tick an idle-bound worker until it parks; returns its outcomes."""
+    outcomes = []
+    for _ in range(ticks):
+        outcomes += worker.run_tick(5_000).outcomes
+        if worker.quiet():
+            return outcomes
+    raise AssertionError("worker never went quiet")
+
+
+class TestWorkerQuiet:
+    """``quiet()`` is True exactly when ``run_tick`` would change
+    nothing, which is what lets the campaign loop skip the tick."""
+
+    def _worker(self, **kw):
+        from repro.harness.experiments import APP_CONFIG
+        return EnclaveWorker(0, _memcached_module(), "sgxbounds",
+                             policy="drop-request", config=APP_CONFIG, **kw)
+
+    def _state(self, worker):
+        vm = worker.vm
+        return (worker.inflight, worker._sent_seen, vm.enclave.cycles(),
+                vm.counters.instructions, [t.state for t in vm.threads],
+                list(vm.net.sent(worker.conn)))
+
+    def test_fresh_boot_is_not_quiet(self):
+        worker = self._worker()
+        assert not worker.quiet()               # main is runnable
+
+    def test_idle_parked_worker_is_quiet_and_ticks_change_nothing(self):
+        worker = self._worker()
+        assert _settle(worker) == []
+        assert worker.inflight is None
+        before = self._state(worker)
+        assert worker.quiet()
+        assert worker.run_tick(5_000).outcomes == []
+        assert self._state(worker) == before
+
+    def test_unread_reply_is_not_quiet(self):
+        from repro.vm import machine as vm_mod
+        from repro.workloads.apps import memcached
+
+        worker = self._worker()
+        _settle(worker)
+        worker.submit(7, memcached.workload(1)[0])
+        vm = worker.vm
+        # Run the server to its next park without draining the reply.
+        while True:
+            thread = next((t for t in vm.threads
+                           if t.state == vm_mod.RUNNABLE), None)
+            if thread is None:
+                break
+            vm.step(thread, vm.quantum)
+        assert worker.inflight is not None
+        assert not worker.quiet()
+        assert worker.run_tick(5_000).outcomes == [(7, "served")]
+        assert worker.quiet()
+
+    def test_pause_hang_and_dedup_ack_are_not_quiet(self):
+        from repro.workloads.apps import memcached
+
+        worker = self._worker()
+        _settle(worker)
+        worker.pause(1)
+        assert not worker.quiet()
+        worker.run_tick(5_000)
+        assert worker.quiet()
+        worker.inject_hang(1)
+        assert not worker.quiet()
+        worker.run_tick(5_000)
+        assert worker.quiet()
+        worker.mutates = lambda payload: True
+        worker.applied_rids.add(3)
+        worker.submit(3, memcached.workload(1)[0])
+        assert not worker.quiet()
+        assert worker.run_tick(5_000).outcomes == [(3, "served")]
+        assert worker.quiet()
+
+    def test_swallowed_frame_leaves_a_quiet_worker_in_flight(self):
+        """An unknown opcode is consumed without a reply: the server
+        parks again with the request still in flight, and no tick can
+        change that."""
+        worker = self._worker()
+        _settle(worker)
+        frame = b"\x12\t\x00\x00key000002"
+        worker.submit(5, frame)
+        assert not worker.quiet()
+        assert _settle(worker) == []
+        assert worker.inflight == (5, frame)
+        before = self._state(worker)
+        for _ in range(3):
+            assert worker.run_tick(5_000).outcomes == []
+        assert self._state(worker) == before
 
 
 def _memcached_module():
@@ -694,3 +811,99 @@ class TestCampaigns:
     def test_unknown_app_rejected(self):
         with pytest.raises(ValueError, match="unknown fleet app"):
             run_campaign(CampaignConfig(app="postgres"))
+
+
+def _restart_config(seed, k):
+    """One ``fleet_restart`` benchmark campaign."""
+    from repro.faults import derive
+    return CampaignConfig(app="memcached", scheme="sgxbounds",
+                          policy="abort", workers=4, fault_rate=0.2,
+                          seed=derive(seed, f"bench:{k}"), size="L")
+
+
+#: ``(id, config, observed)``: every scenario feature that can end or
+#: interrupt a quiet stretch, with and without the per-tick observers.
+#: All but ``abort`` and ``drains`` leave a request stuck in flight
+#: (ROADMAP item 1) and run to ``max_ticks``.
+_STUCK = dict(workers=2, fault_rate=0.2, seed=1, size="XS")
+_QUIET_CASES = [
+    ("abort", CampaignConfig(policy="abort", workers=2, fault_rate=0.2,
+                             seed=77, size="XS"), False),
+    ("drop_request", CampaignConfig(policy="drop-request", **_STUCK), True),
+    ("hang", CampaignConfig(policy="drop-request", watchdog_budget=20_000,
+                            hang=(3, 0, 1_000_000), **_STUCK), True),
+    ("naive_burst", CampaignConfig(
+        policy="drop-request", arrivals_per_tick=3, deadline_ticks=20,
+        overload="naive", burst=(10, 30, 6), max_ticks=2_000, **_STUCK),
+     True),
+    ("protected_burst", CampaignConfig(
+        policy="drop-request", arrivals_per_tick=3, deadline_ticks=20,
+        overload="protected", burst=(10, 30, 6), max_ticks=2_000,
+        **_STUCK), True),
+    ("storm", CampaignConfig(policy="drop-request", storm=(5, 40, 0.8),
+                             **_STUCK), True),
+    ("snapshot", CampaignConfig(
+        policy="abort", workers=2, fault_rate=0.2, seed=17, size="S",
+        workload_kwargs=(("set_every", 2),), crash_loop_k=2,
+        crash_loop_window=200, recovery="snapshot",
+        checkpoint_interval=10), True),
+    ("drains", CampaignConfig(policy="abort", workers=2, fault_rate=0.0,
+                              seed=3, size="XS"), True),
+    ("restart_1234", _restart_config(1234, 2), False),
+    ("restart_4321", _restart_config(4321, 1), True),
+    # A hang scripted after the arrivals end lands inside the stuck tail.
+    ("hang_in_tail", replace(_restart_config(1234, 3),
+                             hang=(2_500, 1, 40)), True),
+]
+
+
+class TestQuietTicks:
+    """Skipping quiet ticks changes nothing a campaign reports: the same
+    run stepped one tick at a time (``quiet()`` forced False) is the
+    reference."""
+
+    def _run(self, config, observed, monkeypatch, stepwise):
+        from repro.fleet import worker as worker_mod
+        from repro.forensics import Forensics
+        from repro.obs import Observability
+        from repro.telemetry import Telemetry
+
+        calls = [0]
+        run_tick = worker_mod.EnclaveWorker.run_tick
+
+        def counting_run_tick(worker, cycle_budget):
+            calls[0] += 1
+            return run_tick(worker, cycle_budget)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(worker_mod.EnclaveWorker, "run_tick",
+                          counting_run_tick)
+            if stepwise:
+                patch.setattr(worker_mod.EnclaveWorker, "quiet",
+                              lambda worker: False)
+            handles = {}
+            if observed:
+                handles = {"telemetry": Telemetry(),
+                           "forensics": Forensics(),
+                           "obs": Observability(seed=config.seed)}
+            result = run_campaign(config, **handles)
+        out = {"result": result.as_dict()}
+        if observed:
+            out["forensics"] = handles["forensics"].summary()
+            out["log"] = handles["forensics"].recorder.to_jsonl()
+            out["obs"] = handles["obs"].summary()
+            out["obs_trace"] = handles["obs"].chrome_trace(
+                tick_cycles=config.tick_cycles)
+            out["telemetry"] = handles["telemetry"].chrome_trace()
+            out["metrics"] = handles["telemetry"].metrics_snapshot()
+        return json.dumps(out, sort_keys=True, default=repr), calls[0]
+
+    @pytest.mark.parametrize("config,observed",
+                             [c[1:] for c in _QUIET_CASES],
+                             ids=[c[0] for c in _QUIET_CASES])
+    def test_skipping_matches_stepping(self, config, observed,
+                                       monkeypatch):
+        fast, fast_calls = self._run(config, observed, monkeypatch, False)
+        ref, ref_calls = self._run(config, observed, monkeypatch, True)
+        assert fast == ref
+        assert fast_calls <= ref_calls

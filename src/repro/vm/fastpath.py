@@ -256,8 +256,9 @@ def _fast_writer_f64(space, l1=None) -> Callable[[int, float], None]:
 
 
 class _MemCache:
-    """Per-compile cache of the inlined accessors (one closure per
-    (space, size, direction), shared by every handler that needs it)."""
+    """Per-VM cache of the inlined accessors (one closure per (size,
+    direction), shared by every handler of every function that needs
+    it); the enclave's space and L1 are fixed for the VM's life."""
 
     __slots__ = ("space", "l1", "_readers", "_writers", "_rf64", "_wf64")
 
@@ -758,7 +759,9 @@ def compile_function(vm, fn, consts) -> FastCode:
     """Predecode ``fn`` against ``vm``'s bound runtime (space, counters,
     scheme, telemetry) and ``consts`` (the loader-resolved pool)."""
     counters = vm.counters
-    mem = _MemCache(vm.enclave)
+    mem = vm.mem_cache
+    if mem is None:
+        mem = vm.mem_cache = _MemCache(vm.enclave)
     track_bounds = vm.scheme.uses_register_bounds
     code = fn.code
     n = len(code)

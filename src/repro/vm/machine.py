@@ -82,7 +82,7 @@ DONE = 2
 #: post-load value.
 _KEPT_ON_RESET = frozenset((
     "enclave", "space", "counters", "scheme", "program", "natives",
-    "telemetry", "forensics", "events", "fastpath_stats",
+    "telemetry", "forensics", "events", "fastpath_stats", "mem_cache",
     "quantum", "max_instructions", "stack_size", "rng", "_boot"))
 
 
@@ -216,6 +216,10 @@ class VM:
         #: only while telemetry observes the run (zero-cost-when-off);
         #: published to the metrics registry as ``vm.fastpath.block``.
         self.fastpath_stats: Dict[str, int] = {}
+        #: Inlined memory accessors shared by every function predecoded
+        #: for this VM (``repro.vm.fastpath._MemCache``); built by the
+        #: first predecode and kept by :meth:`reset`, like the enclave.
+        self.mem_cache = None
         self.quantum = quantum
         self.max_instructions = max_instructions
         self.stack_size = stack_size

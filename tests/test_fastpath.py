@@ -488,6 +488,35 @@ def test_handlers_hold_no_closure_cells():
                         handler.__qualname__
 
 
+def test_one_accessor_cache_per_vm(monkeypatch):
+    """Every function predecoded for one VM shares its accessor cache,
+    and a reset keeps it."""
+    from repro.harness.runner import make_scheme
+    from repro.minic import compile_source
+    from repro.vm.machine import build_vm
+    from repro.workloads.apps import memcached
+
+    made = []
+    init = fastpath._MemCache.__init__
+
+    def counting_init(cache, enclave):
+        made.append(cache)
+        init(cache, enclave)
+
+    monkeypatch.setattr(fastpath._MemCache, "__init__", counting_init)
+    module = compile_source(memcached.SOURCE, "memcached")
+    vm, image = build_vm(module, make_scheme("sgxbounds", None, "abort"),
+                         None)
+    vm.load(image)
+    vm.snapshot()
+    for fn in image.functions.values():
+        vm.program.fast_for(fn, vm)
+    assert len(image.functions) > 1
+    assert made == [vm.mem_cache]
+    vm.reset()
+    assert vm.mem_cache is made[0]
+
+
 def test_calls_never_fused():
     """BLOCK_RETRY re-executes the CALL by index: every CALL must keep a
     cost-1 plain handler even when surrounded by straight-line code."""

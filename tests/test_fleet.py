@@ -899,7 +899,8 @@ class TestQuietTicks:
                 tick_cycles=config.tick_cycles)
             out["telemetry"] = handles["telemetry"].chrome_trace()
             out["metrics"] = handles["telemetry"].metrics_snapshot()
-        return json.dumps(out, sort_keys=True, default=repr), calls[0]
+        return ({key: json.dumps(value, sort_keys=True, default=repr)
+                 for key, value in out.items()}, calls[0])
 
     @pytest.mark.parametrize("config,observed,skips",
                              [c[1:] for c in _QUIET_CASES],
@@ -908,7 +909,8 @@ class TestQuietTicks:
                                        monkeypatch):
         fast, fast_calls = self._run(config, observed, monkeypatch, False)
         ref, ref_calls = self._run(config, observed, monkeypatch, True)
-        assert fast == ref
+        # Name the differing artifacts; a diff of two traces is too big.
+        assert [key for key in ref if fast[key] != ref[key]] == []
         # Non-vacuous: a stuck tail is jumped, not stepped.
         if skips:
             assert ref_calls - fast_calls >= 1_000

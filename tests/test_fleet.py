@@ -439,10 +439,10 @@ class TestWorkerQuiet:
     """``quiet()`` is True exactly when ``run_tick`` would change
     nothing, which is what lets the campaign loop skip the tick."""
 
-    def _worker(self, **kw):
+    def _worker(self):
         from repro.harness.experiments import APP_CONFIG
         return EnclaveWorker(0, _memcached_module(), "sgxbounds",
-                             policy="drop-request", config=APP_CONFIG, **kw)
+                             policy="drop-request", config=APP_CONFIG)
 
     def _state(self, worker):
         vm = worker.vm

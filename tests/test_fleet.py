@@ -823,8 +823,9 @@ def _restart_config(seed, k):
 
 #: ``(id, config, observed, skips)``: every scenario feature that can
 #: end or interrupt a quiet stretch, with and without the per-tick
-#: observers.  ``skips`` marks the campaigns whose stuck in-flight request
-#: (ROADMAP item 1) leaves a quiet tail to ``max_ticks``; the others
+#: observers.  ``skips`` marks the campaigns whose in-flight request gets
+#: no reply (an unknown opcode the server swallows) and so leaves a
+#: quiet tail to ``max_ticks``; the others
 #: drain, keep a recovery manager ticking, or hold naive zombies queued
 #: behind the stuck request, and so step every tick.
 _STUCK = dict(workers=2, fault_rate=0.2, seed=1, size="XS")

@@ -16,7 +16,8 @@ watchdog) the incarnation crashes and the supervisor prices a cold start.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+import weakref
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ReproError, WatchdogTimeout
 from repro.faults import FaultInjector, derive
@@ -33,6 +34,14 @@ SERVER_ITERATIONS = 1 << 30
 #: Outcome status values reported per request.
 SERVED = "served"
 ERROR = "error"
+
+#: Base module -> ``(scheme_name, scheme_kwargs, policy)`` -> the image
+#: built from it.  The key is exactly :func:`make_scheme`'s inputs and
+#: instrumentation is deterministic, so every worker of a campaign
+#: (serving workers and recovery spares alike) loads one image, which
+#: nothing at run time mutates.  The images die with their module.
+_IMAGES: "weakref.WeakKeyDictionary[object, Dict[tuple, object]]" = \
+    weakref.WeakKeyDictionary()
 
 
 class TickReport:
@@ -92,18 +101,24 @@ class EnclaveWorker:
     # ------------------------------------------------------------------
     def boot(self) -> None:
         """Start a new incarnation.  The first boot builds the VM, loads
-        the instrumented image and snapshots it; every later boot resets
-        that VM to the snapshot, keeping its predecoded handlers.  The
-        incarnation then gets a fresh NetworkSim, fault injector and main
-        thread.  The simulated cold-start price is the supervisor's and
-        does not change."""
+        the instrumented image (built once per module and scheme, see
+        ``_IMAGES``) and snapshots it; every later boot resets that VM to
+        the snapshot, keeping its predecoded handlers.  The incarnation
+        then gets a fresh NetworkSim, fault injector and main thread.  The
+        simulated cold-start price is the supervisor's and does not
+        change."""
         self.incarnations += 1
         if self.vm is None:
             self.scheme = make_scheme(self.scheme_name, self.scheme_kwargs,
                                       self.policy)
+            images = _IMAGES.setdefault(self.module, {})
+            key = (self.scheme_name,
+                   tuple(sorted((self.scheme_kwargs or {}).items())),
+                   self.policy)
             self.vm, image = vm_mod.build_vm(
                 self.module, self.scheme, self.config, self.telemetry,
-                self.forensics)
+                self.forensics, image=images.get(key))
+            images[key] = image
             self.vm.load(image)
             self.vm.snapshot()
         else:

@@ -131,9 +131,6 @@ class RequestTrace:
         self.hops.append(hop)
         return hop
 
-    def dispatches(self) -> List[Hop]:
-        return [h for h in self.hops if h.kind == "dispatch"]
-
     def as_dict(self) -> Dict[str, object]:
         return {
             "trace_id": self.trace_id,

@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import math
 import struct
+import weakref
 from typing import Callable, Dict, List, Optional
 
 from repro.errors import BoundsViolation, SegmentationFault, TrapError, VMError
@@ -724,7 +725,9 @@ def _make_plain(ins, consts, i, counters, vm, track_bounds, mem):
 
 
 #: Shape key -> ``make(counters, mem, consts, ins, npc)`` of that shape's
-#: plain handler; shared by every VM in the process.
+#: plain handler; shared by every VM in the process.  The index is strong:
+#: it skips rendering, and the set of shapes is finite, so a shape that
+#: one unit used is still compiled when the next unit predecodes.
 _PLAIN_MAKES: Dict[tuple, Callable] = {}
 
 
@@ -744,15 +747,33 @@ def _plain_make(ins, track_bounds: bool) -> Callable:
     make = _PLAIN_MAKES.get(key)
     if make is None:
         src = _BlockWriter(track_bounds).source([ins], 0, 1)
+        # Shapes of different ops may render the same text (EQ and FEQ
+        # do), and then share one code object: the name names no op.
         make = _PLAIN_MAKES[key] = _compile_make(
-            src, f"<plain {ops.OP_NAMES[ins.op]} #{len(_PLAIN_MAKES)}>")
+            src, f"<plain #{len(_PLAIN_MAKES)}>")
     return make
 
 
+#: Source text -> the ``make`` compiled from it, shared by every VM whose
+#: blocks or plain handlers render that text (a fleet's workers run one
+#: image, so their hot blocks render alike).  An entry lives exactly as
+#: long as some handler built from it: every handler's ``__globals__`` is
+#: the scope its ``make`` was executed in, and that scope holds ``make``.
+#: So the code of dropped VMs goes with them, and nothing is kept for a
+#: later VM that may never render the same text.
+_MAKES: "weakref.WeakValueDictionary[str, Callable]" = \
+    weakref.WeakValueDictionary()
+
+
 def _compile_make(src: str, filename: str) -> Callable:
-    scope: Dict[str, object] = {}
-    exec(compile(src, filename, "exec"), scope)
-    return scope["make"]
+    """The ``make`` defined by ``src``: compiled under ``filename`` the
+    first time, then shared while any handler built from it lives."""
+    make = _MAKES.get(src)
+    if make is None:
+        scope: Dict[str, object] = {}
+        exec(compile(src, filename, "exec"), scope)
+        make = _MAKES[src] = scope["make"]
+    return make
 
 
 def compile_function(vm, fn, consts) -> FastCode:
@@ -781,8 +802,8 @@ def compile_function(vm, fn, consts) -> FastCode:
     # two instructions gets an entry-counting handler; the region is
     # compiled only once it turns hot.
     fc = FastCode(list(plain), [1] * n, plain, code)
-    ctx = _BlockContext(fn.name, consts, starts, counters, mem,
-                        track_bounds, stats, n)
+    ctx = _BlockContext(consts, starts, counters, mem, track_bounds, stats,
+                        n)
     heads = set(starts)
     heads.update([k + 1 for k, ins in enumerate(code) if ins.op == ops.CALL])
     for head in heads:
@@ -886,12 +907,11 @@ class _BlockContext:
     ``left`` counts down each region head's entries to BLOCK_THRESHOLD
     (one table per function, indexed by code position)."""
 
-    __slots__ = ("name", "consts", "starts", "counters", "mem",
-                 "track_bounds", "stats", "left")
+    __slots__ = ("consts", "starts", "counters", "mem", "track_bounds",
+                 "stats", "left")
 
-    def __init__(self, name, consts, starts, counters, mem, track_bounds,
-                 stats, size):
-        self.name = name
+    def __init__(self, consts, starts, counters, mem, track_bounds, stats,
+                 size):
         self.consts = consts
         self.starts = starts
         self.counters = counters
@@ -936,7 +956,10 @@ def _install_block(fc: FastCode, head: int, ctx: _BlockContext) -> None:
     if ctx.stats is not None:
         writer.bind("stats", ctx.stats)
     src = writer.source(fc.code, head, end)
-    make = _compile_make(src, f"<block {ctx.name}@{head}>")
+    # Named by its text, not by the function that first ran it: the code
+    # is shared, so a traceback through it names no other function, and
+    # the same text always gets the same name.
+    make = _compile_make(src, f"<block #{hash(src) & 0xFFFFFFFF:08x}>")
     fc.handlers[head] = make(*writer.binds.values())
     fc.costs[head] = end - head
 

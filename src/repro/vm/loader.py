@@ -53,12 +53,6 @@ class Program:
         # outlives a fleet worker's restarts.
         self._fastcache: Dict[str, object] = {}
 
-    def address_of_function(self, name: str) -> int:
-        return self.func_addr[name]
-
-    def address_of_global(self, name: str) -> int:
-        return self.global_addr[name]
-
     def function_at(self, address: int) -> Optional[Function]:
         return self.func_by_addr.get(address)
 

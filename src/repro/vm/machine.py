@@ -561,19 +561,28 @@ class VM:
         return "".join(self.stdout)
 
 
+def build_image(module: Module,
+                scheme: Optional[SchemeRuntime] = None) -> Module:
+    """``scheme``'s passes over ``module`` (a plain clone for native),
+    finalized: the image a VM loads.  ``module`` is never mutated."""
+    return (scheme.instrument(module) if scheme else module.clone()).finalize()
+
+
 def build_vm(module: Module, scheme: Optional[SchemeRuntime] = None,
              config: Optional[EnclaveConfig] = None, telemetry=None,
-             forensics=None, **vm_kwargs) -> Tuple[VM, Module]:
-    """The one build path: ``scheme``'s passes over ``module`` (a plain
-    clone for native), finalize, then a fresh :class:`Enclave` and
-    :class:`VM` observed by exactly the sinks given.  Returns
-    ``(vm, image)``; the caller loads the image.
+             forensics=None, image: Optional[Module] = None,
+             **vm_kwargs) -> Tuple[VM, Module]:
+    """The one build path: :func:`build_image` of ``module`` under
+    ``scheme``, unless the caller already holds that ``image``, then a
+    fresh :class:`Enclave` and :class:`VM` observed by exactly the sinks
+    given.  Returns ``(vm, image)``; the caller loads the image.
 
-    ``module`` is never mutated and nothing at run time mutates the
-    image, so one compile can feed many VMs.  ``vm_kwargs`` go to
-    :class:`VM` (``seed``, ``max_instructions``).
+    Nothing at run time mutates the image, so one build can feed many
+    VMs.  ``vm_kwargs`` go to :class:`VM` (``seed``,
+    ``max_instructions``).
     """
-    image = (scheme.instrument(module) if scheme else module.clone()).finalize()
+    if image is None:
+        image = build_image(module, scheme)
     vm = VM(enclave=Enclave(config), scheme=scheme, telemetry=telemetry,
             forensics=forensics, **vm_kwargs)
     return vm, image

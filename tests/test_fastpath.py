@@ -22,13 +22,17 @@ runs compiled:
   blocks;
 * the per-function code cache: reuse while identity holds, re-predecode
   when ``fn.code`` is replaced, the shape predecode leaves, lazy block
-  compilation, and compiled blocks surviving a fleet worker's restarts.
+  compilation, and compiled blocks surviving a fleet worker's restarts;
+* block code shared by source text among live VMs, and freed with the
+  last of them.
 """
 
 from __future__ import annotations
 
 import collections
 import contextlib
+import gc
+import weakref
 
 import pytest
 
@@ -353,7 +357,16 @@ def _spy_compile(monkeypatch):
     return names
 
 
-def test_predecode_compiles_nothing(eager_blocks, monkeypatch):
+@pytest.fixture
+def fresh_makes(monkeypatch):
+    """An empty block-code cache for one test: blocks that earlier tests
+    compiled stay cached until the cyclic collector frees their VMs."""
+    makes = type(fastpath._MAKES)()
+    monkeypatch.setattr(fastpath, "_MAKES", makes)
+    return makes
+
+
+def test_predecode_compiles_nothing(eager_blocks, fresh_makes, monkeypatch):
     """Predecode compiles no block: its only code is the plain-handler
     shapes this process has not rendered yet, so predecoding the same
     program for a second VM compiles nothing.  Blocks are compiled once
@@ -372,6 +385,50 @@ def test_predecode_compiles_nothing(eager_blocks, monkeypatch):
         vm.run("main", ())
     ran = names[predecoded:]
     assert ran and all(name.startswith("<block ") for name in ran)
+
+
+def _shared_block_makes(vms):
+    """Weak references to the ``make`` of each block the VMs compiled,
+    checking that every VM built its own handler from that one ``make``,
+    which the cache holds."""
+    tables = [{(name, head): fc.handlers[head]
+               for name, fc in vm.program._fastcache.items()
+               for head, cost in enumerate(fc.costs) if cost > 1}
+              for vm in vms]
+    assert tables[0] and all(t.keys() == tables[0].keys() for t in tables)
+    cached = list(fastpath._MAKES.values())
+    refs = []
+    for key, handler in tables[0].items():
+        make = handler.__globals__["make"]
+        assert any(m is make for m in cached)
+        for other in tables[1:]:
+            assert other[key] is not handler
+            assert other[key].__globals__["make"] is make
+        refs.append(weakref.ref(make))
+    return refs
+
+
+def test_live_vms_share_block_code(eager_blocks, fresh_makes):
+    """Two live VMs of one image share each block's ``make``.  A
+    handler's ``__globals__`` is the scope its ``make`` ran in, and that
+    scope holds ``make``, so the cache entry lives while either VM does
+    and is gone once both are collected."""
+    module = build(_RACE_SRC)
+    with eager_blocks():
+        vms = [VM(), VM()]
+        for vm in vms:
+            vm.load(module)
+            vm.run("main", ())
+    blocks = _shared_block_makes(vms)
+    del vm, vms[0]
+    gc.collect()
+    assert all(ref() is not None for ref in blocks)
+    del vms[0]
+    gc.collect()
+    assert all(ref() is None for ref in blocks)
+    plain = list(fastpath._PLAIN_MAKES.values())
+    assert all(any(m is make for m in plain)
+               for make in fresh_makes.values())
 
 
 def test_worker_compiles_each_block_once(eager_blocks, monkeypatch):

@@ -649,7 +649,8 @@ class TestWorkerReset:
 
 
 class TestImageReuse:
-    """A worker instruments its module once and keeps that image."""
+    """A campaign instruments its module once, and every worker keeps and
+    shares that image."""
 
     def test_campaign_with_restarts_leaves_images_unchanged(self,
                                                             monkeypatch):
@@ -690,6 +691,61 @@ class TestImageReuse:
         assert boundless.stats()["instructions"] == 311
         _, fresh = build_vm(module, SGXBoundsScheme(policy="boundless"))
         assert boundless.stats() == fresh.stats()
+
+    def test_campaign_workers_share_one_image(self, monkeypatch):
+        """Serving workers, replicas and audit oracles of one campaign
+        load one image; after the campaign it still digests like a fresh
+        build, and it dies with its module."""
+        import gc
+        import weakref
+
+        from repro.fleet import campaign as campaign_mod
+        from repro.harness.runner import make_scheme
+        from repro.vm.machine import build_image
+        from tests.test_image_goldens import built_digest
+
+        workers = []
+
+        class Recording(EnclaveWorker):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                workers.append(self)
+
+        monkeypatch.setattr(campaign_mod, "EnclaveWorker", Recording)
+        config = CampaignConfig(
+            policy="abort", workers=2, fault_rate=0.2, seed=17, size="S",
+            workload_kwargs=(("set_every", 2),), crash_loop_k=2,
+            crash_loop_window=200, recovery="replica",
+            checkpoint_interval=10)
+        result = run_campaign(config)
+        assert result.supervisor["restarts"] > 0
+        assert len(workers) > 2 * config.workers  # replicas and oracles
+        image = workers[0].vm.program.module
+        assert all(w.vm.program.module is image for w in workers)
+        module = workers[0].module
+        assert built_digest(image) == built_digest(
+            build_image(module, make_scheme("sgxbounds", None, "abort")))
+        module = weakref.ref(module)
+        del workers[:], image
+        gc.collect()
+        assert module() is None
+
+    def test_warm_block_cache_changes_nothing(self, monkeypatch):
+        """A ``fleet_restart`` campaign reports the same whether it
+        compiles every block itself or finds every one compiled."""
+        from repro.vm import fastpath
+        from tests.test_fastpath import _spy_compile
+
+        # Strong, so what the first run compiles stays for the second.
+        monkeypatch.setattr(fastpath, "_MAKES", {})
+        compiled = _spy_compile(monkeypatch)
+        config = _restart_config(1234, 0)
+        cold = _campaign_artifacts(config, True)
+        assert any(name.startswith("<block ") for name in compiled)
+        del compiled[:]
+        warm = _campaign_artifacts(config, True)
+        assert compiled == []
+        assert [key for key in cold if cold[key] != warm[key]] == []
 
 
 #: One request per probe: ``o`` writes past a 16-byte heap object, ``s``
@@ -821,6 +877,32 @@ def _restart_config(seed, k):
                           seed=derive(seed, f"bench:{k}"), size="L")
 
 
+def _campaign_artifacts(config, observed):
+    """Everything a campaign reports, each as canonical JSON: its
+    ``as_dict()`` and, ``observed``, the forensics and obs summaries, the
+    flight-recorder JSONL, both traces and the metrics."""
+    from repro.forensics import Forensics
+    from repro.obs import Observability
+    from repro.telemetry import Telemetry
+
+    handles = {}
+    if observed:
+        handles = {"telemetry": Telemetry(), "forensics": Forensics(),
+                   "obs": Observability(seed=config.seed)}
+    result = run_campaign(config, **handles)
+    out = {"result": result.as_dict()}
+    if observed:
+        out["forensics"] = handles["forensics"].summary()
+        out["log"] = handles["forensics"].recorder.to_jsonl()
+        out["obs"] = handles["obs"].summary()
+        out["obs_trace"] = handles["obs"].chrome_trace(
+            tick_cycles=config.tick_cycles)
+        out["telemetry"] = handles["telemetry"].chrome_trace()
+        out["metrics"] = handles["telemetry"].metrics_snapshot()
+    return {key: json.dumps(value, sort_keys=True, default=repr)
+            for key, value in out.items()}
+
+
 #: ``(id, config, observed, skips)``: every scenario feature that can
 #: end or interrupt a quiet stretch, with and without the per-tick
 #: observers.  ``skips`` marks the campaigns whose in-flight request gets
@@ -868,9 +950,6 @@ class TestQuietTicks:
 
     def _run(self, config, observed, monkeypatch, stepwise):
         from repro.fleet import worker as worker_mod
-        from repro.forensics import Forensics
-        from repro.obs import Observability
-        from repro.telemetry import Telemetry
 
         calls = [0]
         run_tick = worker_mod.EnclaveWorker.run_tick
@@ -885,23 +964,7 @@ class TestQuietTicks:
             if stepwise:
                 patch.setattr(worker_mod.EnclaveWorker, "quiet",
                               lambda worker: False)
-            handles = {}
-            if observed:
-                handles = {"telemetry": Telemetry(),
-                           "forensics": Forensics(),
-                           "obs": Observability(seed=config.seed)}
-            result = run_campaign(config, **handles)
-        out = {"result": result.as_dict()}
-        if observed:
-            out["forensics"] = handles["forensics"].summary()
-            out["log"] = handles["forensics"].recorder.to_jsonl()
-            out["obs"] = handles["obs"].summary()
-            out["obs_trace"] = handles["obs"].chrome_trace(
-                tick_cycles=config.tick_cycles)
-            out["telemetry"] = handles["telemetry"].chrome_trace()
-            out["metrics"] = handles["telemetry"].metrics_snapshot()
-        return ({key: json.dumps(value, sort_keys=True, default=repr)
-                 for key, value in out.items()}, calls[0])
+            return _campaign_artifacts(config, observed), calls[0]
 
     @pytest.mark.parametrize("config,observed,skips",
                              [c[1:] for c in _QUIET_CASES],

@@ -2,10 +2,11 @@
 
 Every source the reproduction compiles — the seeded genprog corpus, the
 registered workloads and the server apps — is built under each of the
-five schemes the way ``build_vm`` builds it (the scheme's passes, or a
-plain clone for native, then finalize), and a sha256 of the image's
-textual dump (every ``; safe`` mark included), its sorted ``meta`` and
-its ``stats()`` is compared with ``tests/goldens/images.json``.  A change
+five schemes by ``build_image``, as ``build_vm`` builds it (the
+scheme's passes, or a plain clone for native, then finalize), and a
+sha256 of the image's textual dump (every ``; safe`` mark included), its
+sorted ``meta`` and its ``stats()`` is compared with
+``tests/goldens/images.json``.  A change
 to the frontend, the passes, cloning or finalization that alters any
 instruction, safe mark, check count or layout on any build fails here
 by name.
@@ -27,6 +28,7 @@ import pytest
 from repro.harness.runner import SCHEMES
 from repro.ir import print_module
 from repro.minic import compile_source
+from repro.vm.machine import build_image
 from tests.test_minic_tokens import SOURCES
 
 GOLDEN = Path(__file__).resolve().parent / "goldens" / "images.json"
@@ -36,8 +38,12 @@ IMAGE_SCHEMES = tuple(SCHEMES)
 
 
 def image_digest(module, scheme_name: str) -> str:
-    scheme = SCHEMES[scheme_name]()
-    image = (scheme.instrument(module) if scheme else module.clone()).finalize()
+    return built_digest(build_image(module, SCHEMES[scheme_name]()))
+
+
+def built_digest(image) -> str:
+    """Digest of a built image: IR dump with ``; safe`` marks, sorted
+    ``meta`` and ``stats()``."""
     text = repr((print_module(image), sorted(image.meta.items()),
                  image.stats()))
     return hashlib.sha256(text.encode()).hexdigest()

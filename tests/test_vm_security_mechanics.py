@@ -81,7 +81,7 @@ class TestIndirectCalls:
         vm = VM()
         program = vm.load(module)
         for name in ("f", "main"):
-            assert in_code_region(program.address_of_function(name))
+            assert in_code_region(program.func_addr[name])
 
     def test_code_region_is_not_readable_data(self):
         """Fake code slots are never memory-backed: reading a function's
@@ -90,7 +90,7 @@ class TestIndirectCalls:
         vm = VM()
         program = vm.load(module)
         with pytest.raises(SegmentationFault):
-            vm.space.read_u8(program.address_of_function("main"))
+            vm.space.read_u8(program.func_addr["main"])
 
 
 class TestLoader:
@@ -103,10 +103,10 @@ class TestLoader:
         """)
         vm = VM()
         program = vm.load(module)
-        assert vm.space.read_u64(program.address_of_global("magic")) == 1234
-        assert vm.space.read_f64(program.address_of_global("pi")) == 3.25
+        assert vm.space.read_u64(program.global_addr["magic"]) == 1234
+        assert vm.space.read_f64(program.global_addr["pi"]) == 3.25
         assert vm.space.read_cstring(
-            program.address_of_global("text")) == b"abc"
+            program.global_addr["text"]) == b"abc"
 
     def test_pointer_relocations(self):
         module = build("""
@@ -116,8 +116,8 @@ class TestLoader:
         """)
         vm = VM()
         program = vm.load(module)
-        slot = vm.space.read_u64(program.address_of_global("ptr"))
-        assert slot == program.address_of_global("target")
+        slot = vm.space.read_u64(program.global_addr["ptr"])
+        assert slot == program.global_addr["target"]
         assert vm.run("main") == 7
 
     def test_relocations_are_tagged_under_sgxbounds(self):
@@ -129,7 +129,7 @@ class TestLoader:
         """, scheme=scheme)
         vm = VM(scheme=scheme)
         program = vm.load(module)
-        tagged = vm.space.read_u64(program.address_of_global("ptr"))
+        tagged = vm.space.read_u64(program.global_addr["ptr"])
         assert extract_ub(tagged) == extract_p(tagged) + 8  # sizeof(int)
         assert vm.run("main") == 7
 

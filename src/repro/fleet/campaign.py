@@ -16,11 +16,6 @@ Each tick is ``tick_cycles`` simulated cycles of every running worker;
 restart costs from the cold-start model translate into ticks a worker
 spends in ``restarting``, which is where fail-stop's availability gap
 comes from.
-
-A stretch of ticks in which nothing can act (arrivals spent, nothing
-queued, every running worker parked with nothing to read, no timer due)
-is jumped over in one step; only the per-tick observers see its ticks,
-so every report is the same as stepping through it.
 """
 
 from __future__ import annotations
@@ -322,55 +317,28 @@ def run_campaign(config: CampaignConfig, telemetry=None,
                 obs.on_submit(retry, now)
             req = balancer.offer(retry, now)
 
-    def quiet_until(now: int) -> int:
-        """First tick from ``now`` on at which something can act: a
-        tick is quiet when the arrivals are spent, nothing is pending or
-        queued, no recovery timers run and every running worker is
-        :meth:`~EnclaveWorker.quiet`.  A quiet tick never ends the
-        campaign: the tick before it would have, had nothing been in
-        flight."""
-        if (not exhausted or manager is not None or balancer.pending
-                or any(balancer.queues.values())
-                or not all(w.quiet() for w in workers
-                           if supervisor.running(w.wid))):
-            return now
-        end = config.max_ticks
-        timer = supervisor.next_timer(now)
-        if timer is not None:
-            end = min(end, timer)
-        if config.hang and config.hang[0] >= now:
-            end = min(end, config.hang[0])
-        return end
-
-    def observe(first: int, last: int) -> None:
-        """Feed the per-tick observers ticks ``first`` .. ``last - 1``,
-        through which the fleet's state holds still."""
+    def observe(now: int) -> None:
+        """Feed the per-tick observers: anomaly monitor, admission,
+        goodput timeline and burn rate."""
         if forensics is not None or controls is not None:
             epc_total = sum(w.total_epc_faults + w.vm.counters.epc_faults
                             for w in workers)
             depth = balancer.in_system()
-            p95 = slo.latency.percentile_bucket(0.95) \
-                if slo.served else None
-        for tick in range(first, last):
-            if forensics is not None:
-                forensics.monitor.observe_tick(
-                    tick, epc_faults_total=epc_total, p95=p95,
-                    served=slo.served,
-                    queue_depth=depth if controls is not None else None)
-            if controls is not None:
-                controls.admission.observe_tick(tick, depth, epc_total)
-                slo.on_tick(tick)
-            # Burn-rate rules see every tick's cumulative good/bad totals.
-            if obs is not None:
-                obs.observe_tick(tick, slo)
+        if forensics is not None:
+            forensics.monitor.observe_tick(
+                now, epc_faults_total=epc_total,
+                p95=slo.latency.percentile_bucket(0.95)
+                if slo.served else None,
+                served=slo.served,
+                queue_depth=depth if controls is not None else None)
+        if controls is not None:
+            controls.admission.observe_tick(now, depth, epc_total)
+            slo.on_tick(now)
+        # Burn-rate rules see every tick's cumulative good/bad totals.
+        if obs is not None:
+            obs.observe_tick(now, slo)
 
     while now < config.max_ticks:
-        # 0. Quiet stretch: jump to its end; only the observers see it.
-        end = quiet_until(now)
-        if end > now:
-            observe(now, end)
-            now = end
-            continue
         # 1. Arrivals (fuzzed at the door, storm rate inside the window,
         #    flash-crowd extras inside the burst window).
         rate = config.arrivals_per_tick
@@ -466,9 +434,8 @@ def run_campaign(config: CampaignConfig, telemetry=None,
                                    abandon_in_place=controls is not None
                                    and controls.mode == "naive"):
             settle(req)
-        # 6b. Per-tick observers: anomaly monitor, admission, goodput
-        #     timeline, burn rate.
-        observe(now, now + 1)
+        # 6b. Per-tick observers.
+        observe(now)
         # 7. Termination: all traffic is in, nothing left in the system.
         if exhausted and balancer.in_system() == 0:
             now += 1

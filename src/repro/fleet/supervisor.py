@@ -155,15 +155,6 @@ class Supervisor:
                 record.status = HEALTHY
         return boots
 
-    def next_timer(self, now: int) -> Optional[int]:
-        """The first tick from ``now`` on at which :meth:`tick` promotes
-        or reboots a worker, or None when no timer is armed.  Skipping
-        the ticks before it skips only prunes, and pruning is monotone:
-        the next crash's own prune forgets the same timestamps."""
-        armed = [r.ready_at for r in self.records.values()
-                 if r.status in (RESTARTING, STARTING)]
-        return max(now, min(armed)) if armed else None
-
     # ------------------------------------------------------------------
     def extend_start(self, wid: int, extra_ticks: int) -> None:
         """Recovery hook: restoring sealed state stretches the startup

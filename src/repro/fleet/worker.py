@@ -12,6 +12,8 @@ Failure semantics match the single-server harness: a violation under
 ``drop-request`` rolls back to the request checkpoint and surfaces an
 error reply; under ``abort`` (or any unrecoverable fault — OOM, hijack,
 watchdog) the incarnation crashes and the supervisor prices a cold start.
+A request the server reads and drops without a reply settles as an error
+once the server parks again with nothing left to read.
 """
 
 from __future__ import annotations
@@ -263,17 +265,6 @@ class EnclaveWorker:
         outcomes.extend(self._drain_replies())
         return TickReport(outcomes)
 
-    def quiet(self) -> bool:
-        """True when :meth:`run_tick` would change nothing: no scripted
-        stall or pending ack, every thread parked, and no unread message
-        that a reply drain would consume.  Reads only."""
-        if self._dedup_ack or self._pause_ticks or self._hang_ticks:
-            return False
-        if not self._parked():
-            return False
-        return (self.inflight is None
-                or len(self.vm.net.sent(self.conn)) <= self._sent_seen)
-
     def _parked(self) -> bool:
         """No thread can run until a message unblocks one."""
         return not any(t.state == vm_mod.RUNNABLE for t in self.vm.threads)
@@ -333,10 +324,15 @@ class EnclaveWorker:
         while (self._sent_seen < len(sent)
                and sent[self._sent_seen] == REJECTED_MARKER):
             self._sent_seen += 1
-        if len(sent) <= self._sent_seen:
+        if len(sent) > self._sent_seen:
+            reply = sent[self._sent_seen]
+            self._sent_seen = len(sent)   # swallow multi-part replies
+        elif self._parked() and self.vm.net.pending(self.conn) == 0:
+            # The server read the whole request and parked again without
+            # a reply (an unknown opcode is swallowed): none will come.
+            reply = ERROR_MARKER
+        else:
             return []
-        reply = sent[self._sent_seen]
-        self._sent_seen = len(sent)       # swallow multi-part replies
         rid, payload = self.inflight
         self.inflight = None
         if self.obs is not None and self._obs_snap is not None:

@@ -260,27 +260,6 @@ class TestSupervisorLifecycle:
         assert sup.deaths == 1
         assert sup.records[0].crashes == 8
 
-    def test_next_timer_is_the_earliest_armed_promotion(self):
-        sup = self._sup(startup_ticks=1)
-        assert sup.next_timer(0) == 1           # both workers booting
-        sup.tick(1)
-        assert sup.next_timer(2) is None        # all healthy: no timer
-        sup.on_crash(_StubWorker(0, pages=4), now=10, reason="X")
-        assert sup.next_timer(11) == 70         # restarting: 300k cycles
-        assert sup.next_timer(80) == 80         # overdue fires at once
-        assert sup.tick(70) == [0]
-        assert sup.status(0) == sup_mod.STARTING
-        assert sup.next_timer(71) == 71         # starting: ready_at 71
-        sup.tick(71)
-        assert sup.next_timer(72) is None
-
-    def test_next_timer_ignores_dead_workers(self):
-        sup = self._sup(startup_ticks=0, crash_loop_k=1)
-        sup.tick(0)
-        assert sup.on_crash(_StubWorker(0), now=3, reason="X") is None
-        assert sup.status(0) == sup_mod.DEAD
-        assert sup.next_timer(4) is None
-
 
 class TestBalancer:
     def _fleet(self, n=2, **kw):
@@ -426,23 +405,34 @@ class TestWorkerServes:
 
 
 def _settle(worker, ticks=200):
-    """Tick an idle-bound worker until it parks; returns its outcomes."""
+    """Tick a worker until it is idle and parked; returns its outcomes."""
     outcomes = []
     for _ in range(ticks):
         outcomes += worker.run_tick(5_000).outcomes
-        if worker.quiet():
+        if worker.inflight is None and worker._parked():
             return outcomes
-    raise AssertionError("worker never went quiet")
+    raise AssertionError("worker never went idle")
 
 
-class TestWorkerQuiet:
-    """``quiet()`` is True exactly when ``run_tick`` would change
-    nothing, which is what lets the campaign loop skip the tick."""
+def _app_worker(app):
+    import importlib
+
+    from repro.harness.experiments import APP_CONFIG
+    from repro.minic import compile_source
+    mod = importlib.import_module(f"repro.workloads.apps.{app}")
+    return EnclaveWorker(0, compile_source(mod.SOURCE, app), "sgxbounds",
+                         policy="drop-request", config=APP_CONFIG)
+
+
+#: A frame whose opcode byte (0x12) no server app knows.
+_UNKNOWN_FRAME = b"\x12\t\x00\x00key000002"
+
+
+class TestWorkerTick:
+    """What one ``run_tick`` does to a worker in each state."""
 
     def _worker(self):
-        from repro.harness.experiments import APP_CONFIG
-        return EnclaveWorker(0, _memcached_module(), "sgxbounds",
-                             policy="drop-request", config=APP_CONFIG)
+        return _app_worker("memcached")
 
     def _state(self, worker):
         vm = worker.vm
@@ -450,20 +440,22 @@ class TestWorkerQuiet:
                 vm.counters.instructions, [t.state for t in vm.threads],
                 list(vm.net.sent(worker.conn)))
 
-    def test_fresh_boot_is_not_quiet(self):
+    def test_fresh_boot_runs_main_to_its_park(self):
         worker = self._worker()
-        assert not worker.quiet()               # main is runnable
+        assert not worker._parked()             # main is runnable
+        before = self._state(worker)
+        assert worker.run_tick(5_000).outcomes == []
+        assert self._state(worker) != before
 
-    def test_idle_parked_worker_is_quiet_and_ticks_change_nothing(self):
+    def test_idle_parked_worker_tick_changes_nothing(self):
         worker = self._worker()
         assert _settle(worker) == []
-        assert worker.inflight is None
         before = self._state(worker)
-        assert worker.quiet()
-        assert worker.run_tick(5_000).outcomes == []
+        for _ in range(3):
+            assert worker.run_tick(5_000).outcomes == []
         assert self._state(worker) == before
 
-    def test_unread_reply_is_not_quiet(self):
+    def test_unread_reply_is_drained_on_the_next_tick(self):
         from repro.vm import machine as vm_mod
         from repro.workloads.apps import memcached
 
@@ -479,45 +471,58 @@ class TestWorkerQuiet:
                 break
             vm.step(thread, vm.quantum)
         assert worker.inflight is not None
-        assert not worker.quiet()
         assert worker.run_tick(5_000).outcomes == [(7, "served")]
-        assert worker.quiet()
+        assert worker.inflight is None
 
-    def test_pause_hang_and_dedup_ack_are_not_quiet(self):
+    def test_pause_hang_and_dedup_ack_each_take_a_tick(self):
         from repro.workloads.apps import memcached
 
         worker = self._worker()
         _settle(worker)
+        idle = self._state(worker)
         worker.pause(1)
-        assert not worker.quiet()
-        worker.run_tick(5_000)
-        assert worker.quiet()
+        assert worker.run_tick(5_000).outcomes == []
+        assert worker._pause_ticks == 0
+        assert self._state(worker) == idle
         worker.inject_hang(1)
-        assert not worker.quiet()
-        worker.run_tick(5_000)
-        assert worker.quiet()
+        cycles = worker.vm.enclave.cycles()
+        assert worker.run_tick(5_000).outcomes == []
+        assert worker._hang_ticks == 0
+        assert worker.vm.enclave.cycles() > cycles   # the spin is charged
         worker.mutates = lambda payload: True
         worker.applied_rids.add(3)
         worker.submit(3, memcached.workload(1)[0])
-        assert not worker.quiet()
+        assert worker.inflight is not None
         assert worker.run_tick(5_000).outcomes == [(3, "served")]
-        assert worker.quiet()
+        assert worker.inflight is None
+        assert worker._parked()
 
-    def test_swallowed_frame_leaves_a_quiet_worker_in_flight(self):
-        """An unknown opcode is consumed without a reply: the server
-        parks again with the request still in flight, and no tick can
-        change that."""
+    def test_swallowed_frame_settles_as_error(self):
+        """An unknown opcode is consumed without a reply; once the server
+        parks again with nothing left to read, no reply can come, so the
+        request settles as an error in that same tick."""
         worker = self._worker()
         _settle(worker)
-        frame = b"\x12\t\x00\x00key000002"
-        worker.submit(5, frame)
-        assert not worker.quiet()
-        assert _settle(worker) == []
-        assert worker.inflight == (5, frame)
+        worker.submit(5, _UNKNOWN_FRAME)
+        assert _settle(worker) == [(5, "error")]
+        assert worker.vm.net.sent(worker.conn) == []    # nothing replied
         before = self._state(worker)
-        for _ in range(3):
-            assert worker.run_tick(5_000).outcomes == []
+        assert worker.run_tick(5_000).outcomes == []
         assert self._state(worker) == before
+
+
+@pytest.mark.parametrize("app", ["memcached", "apache", "nginx",
+                                 "sqlite_server"])
+def test_unknown_frame_ends_in_a_reply_or_error(app):
+    """Every server app, handed a frame it does not understand, ends the
+    request as served or error and goes idle again: none leaves it in
+    flight for the campaign's fail-safe."""
+    worker = _app_worker(app)
+    _settle(worker)
+    worker.submit(9, _UNKNOWN_FRAME)
+    outcomes = _settle(worker)
+    assert outcomes in ([(9, "served")], [(9, "error")])
+    assert worker.inflight is None
 
 
 def _memcached_module():
@@ -903,80 +908,56 @@ def _campaign_artifacts(config, observed):
             for key, value in out.items()}
 
 
-#: ``(id, config, observed, skips)``: every scenario feature that can
-#: end or interrupt a quiet stretch, with and without the per-tick
-#: observers.  ``skips`` marks the campaigns whose in-flight request gets
-#: no reply (an unknown opcode the server swallows) and so leaves a
-#: quiet tail to ``max_ticks``; the others
-#: drain, keep a recovery manager ticking, or hold naive zombies queued
-#: behind the stuck request, and so step every tick.
-_STUCK = dict(workers=2, fault_rate=0.2, seed=1, size="XS")
-_QUIET_CASES = [
+#: ``(id, config, observed)``: every scenario feature that can hold a
+#: request in the system (scripted hangs, naive and protected bursts, a
+#: poison storm, snapshot recovery, a hang after the arrivals end, and
+#: seeds whose traffic carries frames the server swallows), with and
+#: without the per-tick observers attached.
+_FUZZED = dict(workers=2, fault_rate=0.2, seed=1, size="XS")
+_DRAIN_CASES = [
     ("abort", CampaignConfig(policy="abort", workers=2, fault_rate=0.2,
-                             seed=77, size="XS"), False, False),
-    ("drop_request", CampaignConfig(policy="drop-request", **_STUCK), True,
-     True),
+                             seed=77, size="XS"), False),
+    ("drop_request", CampaignConfig(policy="drop-request", **_FUZZED), True),
     ("hang", CampaignConfig(policy="drop-request", watchdog_budget=20_000,
-                            hang=(3, 0, 1_000_000), **_STUCK), True, True),
+                            hang=(3, 0, 1_000_000), **_FUZZED), True),
     ("naive_burst", CampaignConfig(
         policy="drop-request", arrivals_per_tick=3, deadline_ticks=20,
-        overload="naive", burst=(10, 30, 6), max_ticks=2_000, **_STUCK),
-     True, False),
+        overload="naive", burst=(10, 30, 6), max_ticks=2_000, **_FUZZED),
+     True),
     ("protected_burst", CampaignConfig(
         policy="drop-request", arrivals_per_tick=3, deadline_ticks=20,
         overload="protected", burst=(10, 30, 6), max_ticks=2_000,
-        **_STUCK), True, True),
+        **_FUZZED), True),
     ("storm", CampaignConfig(policy="drop-request", storm=(5, 40, 0.8),
-                             **_STUCK), True, True),
+                             **_FUZZED), True),
     ("snapshot", CampaignConfig(
         policy="abort", workers=2, fault_rate=0.2, seed=17, size="S",
         workload_kwargs=(("set_every", 2),), crash_loop_k=2,
         crash_loop_window=200, recovery="snapshot",
-        checkpoint_interval=10), True, False),
+        checkpoint_interval=10), True),
     ("drains", CampaignConfig(policy="abort", workers=2, fault_rate=0.0,
-                              seed=3, size="XS"), True, False),
-    ("restart_1234", _restart_config(1234, 2), False, True),
-    ("restart_4321", _restart_config(4321, 1), True, True),
-    # A hang scripted after the arrivals end lands inside the stuck tail.
+                              seed=3, size="XS"), True),
+    ("restart_1234", _restart_config(1234, 2), False),
+    ("restart_4321", _restart_config(4321, 1), True),
+    # A hang scripted after the arrivals end (tick 750), while requests
+    # are still in flight: the watchdog kills it at tick 800.
     ("hang_in_tail", replace(_restart_config(1234, 3),
-                             hang=(2_500, 1, 40)), True, True),
+                             hang=(760, 1, 40)), True),
 ]
 
 
-class TestQuietTicks:
-    """Skipping quiet ticks changes nothing a campaign reports: the same
-    run stepped one tick at a time (``quiet()`` forced False) is the
-    reference."""
+class TestDrain:
+    """Every campaign drains by itself: it ends before the ``max_ticks``
+    fail-safe, and every submitted request reached exactly one terminal
+    state."""
 
-    def _run(self, config, observed, monkeypatch, stepwise):
-        from repro.fleet import worker as worker_mod
-
-        calls = [0]
-        run_tick = worker_mod.EnclaveWorker.run_tick
-
-        def counting_run_tick(worker, cycle_budget):
-            calls[0] += 1
-            return run_tick(worker, cycle_budget)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(worker_mod.EnclaveWorker, "run_tick",
-                          counting_run_tick)
-            if stepwise:
-                patch.setattr(worker_mod.EnclaveWorker, "quiet",
-                              lambda worker: False)
-            return _campaign_artifacts(config, observed), calls[0]
-
-    @pytest.mark.parametrize("config,observed,skips",
-                             [c[1:] for c in _QUIET_CASES],
-                             ids=[c[0] for c in _QUIET_CASES])
-    def test_skipping_matches_stepping(self, config, observed, skips,
-                                       monkeypatch):
-        fast, fast_calls = self._run(config, observed, monkeypatch, False)
-        ref, ref_calls = self._run(config, observed, monkeypatch, True)
-        # Name the differing artifacts; a diff of two traces is too big.
-        assert [key for key in ref if fast[key] != ref[key]] == []
-        # Non-vacuous: a stuck tail is jumped, not stepped.
-        if skips:
-            assert ref_calls - fast_calls >= 1_000
-        else:
-            assert fast_calls == ref_calls
+    @pytest.mark.parametrize("config,observed",
+                             [c[1:] for c in _DRAIN_CASES],
+                             ids=[c[0] for c in _DRAIN_CASES])
+    def test_campaign_drains(self, config, observed):
+        result = json.loads(_campaign_artifacts(config, observed)["result"])
+        slo = result["slo"]
+        assert result["ticks"] < config.max_ticks
+        assert slo["submitted"] == (
+            slo["served"] + slo["error_replies"] + slo["failed"]
+            + slo.get("overload", {}).get("rejected", 0))

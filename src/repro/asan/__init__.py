@@ -1,7 +1,8 @@
 """AddressSanitizer baseline (software shadow-memory protection)."""
 
-from repro.asan.runtime import ASanScheme, QUARANTINE_CAP, REDZONE
-from repro.asan.shadow import GRANULE, granule_ok, object_shadow, shadow_address
+from repro.asan.runtime import ASanScheme, QUARANTINE_CAP
+from repro.asan.shadow import (REDZONE, GRANULE, granule_ok, object_shadow,
+                               shadow_address)
 
 __all__ = ["ASanScheme", "REDZONE", "QUARANTINE_CAP", "GRANULE",
            "shadow_address", "granule_ok", "object_shadow"]

@@ -24,6 +24,7 @@ from repro.asan.shadow import (
     GRANULE,
     HEAP_LEFT_RZ,
     HEAP_RIGHT_RZ,
+    REDZONE,
     STACK_RZ,
     granule_ok,
     object_shadow,
@@ -44,8 +45,6 @@ if TYPE_CHECKING:   # pragma: no cover - typing only
     from repro.ir.module import GlobalVar, Module
     from repro.vm.machine import VM
 
-#: Redzone size on each side of an object (scaled from ASan's defaults).
-REDZONE = 32
 #: Quarantine capacity (scaled from ASan's 256 MiB default).
 QUARANTINE_CAP = 256 * 1024
 
@@ -60,12 +59,10 @@ class ASanScheme(SchemeRuntime):
 
     def __init__(self, optimize_safe: bool = True,
                  quarantine_bytes: int = QUARANTINE_CAP,
-                 redzone: int = REDZONE,
                  policy: str = violation_policy.ABORT):
         super().__init__(policy=policy)
         self.optimize_safe = optimize_safe
         self.quarantine_cap = quarantine_bytes
-        self.redzone = redzone
         self._live: Dict[int, Tuple[int, int]] = {}   # user -> (raw, size)
         self._quarantine: Deque[Tuple[int, int]] = deque()
         self._quarantine_bytes = 0
@@ -101,13 +98,13 @@ class ASanScheme(SchemeRuntime):
     def malloc(self, vm: "VM", size: int) -> int:
         size = max(int(size), 1)
         rounded = align_up(size, GRANULE)
-        raw = vm.enclave.heap.malloc(rounded + 2 * self.redzone)
-        user = raw + self.redzone
-        self.poison(vm, raw, self.redzone, HEAP_LEFT_RZ)
+        raw = vm.enclave.heap.malloc(rounded + 2 * REDZONE)
+        user = raw + REDZONE
+        self.poison(vm, raw, REDZONE, HEAP_LEFT_RZ)
         self.unpoison_object(vm, user, size)
-        self.poison(vm, user + rounded, self.redzone, HEAP_RIGHT_RZ)
+        self.poison(vm, user + rounded, REDZONE, HEAP_RIGHT_RZ)
         self._live[user] = (raw, size)
-        self.redzone_bytes += 2 * self.redzone
+        self.redzone_bytes += 2 * REDZONE
         return user
 
     def realloc(self, vm: "VM", ptr: int, size: int) -> int:
@@ -135,8 +132,8 @@ class ASanScheme(SchemeRuntime):
         rounded = align_up(size, GRANULE)
         self.poison(vm, ptr, rounded, FREED)
         # Quarantine: delay reuse so use-after-free hits poisoned shadow.
-        self._quarantine.append((raw, rounded + 2 * self.redzone))
-        self._quarantine_bytes += rounded + 2 * self.redzone
+        self._quarantine.append((raw, rounded + 2 * REDZONE))
+        self._quarantine_bytes += rounded + 2 * REDZONE
         while self._quarantine_bytes > self.quarantine_cap and self._quarantine:
             old_raw, old_total = self._quarantine.popleft()
             self._quarantine_bytes -= old_total
@@ -149,14 +146,14 @@ class ASanScheme(SchemeRuntime):
 
     # -- globals -------------------------------------------------------------------
     def global_padding(self, var: "GlobalVar") -> Tuple[int, int]:
-        return (self.redzone, self.redzone)
+        return (REDZONE, REDZONE)
 
     def on_global_loaded(self, vm: "VM", address: int, var: "GlobalVar") -> None:
-        self.poison(vm, address - self.redzone, self.redzone, GLOBAL_RZ)
+        self.poison(vm, address - REDZONE, REDZONE, GLOBAL_RZ)
         self.unpoison_object(vm, address, var.size)
         tail = align_up(var.size, GRANULE)
-        self.poison(vm, address + tail, self.redzone, GLOBAL_RZ)
-        self.redzone_bytes += 2 * self.redzone
+        self.poison(vm, address + tail, REDZONE, GLOBAL_RZ)
+        self.redzone_bytes += 2 * REDZONE
 
     # -- access validation ------------------------------------------------------------
     def check_access(self, vm: "VM", address: int, size: int,
@@ -198,15 +195,15 @@ class ASanScheme(SchemeRuntime):
     def _native_poison_stack(self, vm: "VM", thread, args) -> int:
         raw, size = args[0] & ADDRESS_MASK, args[1]
         rounded = align_up(size, GRANULE)
-        self.poison(vm, raw, self.redzone, STACK_RZ)
-        self.unpoison_object(vm, raw + self.redzone, size)
-        self.poison(vm, raw + self.redzone + rounded, self.redzone, STACK_RZ)
+        self.poison(vm, raw, REDZONE, STACK_RZ)
+        self.unpoison_object(vm, raw + REDZONE, size)
+        self.poison(vm, raw + REDZONE + rounded, REDZONE, STACK_RZ)
         vm.charge(6)
         return 0
 
     def _native_unpoison_stack(self, vm: "VM", thread, args) -> int:
         raw, size = args[0] & ADDRESS_MASK, args[1]
-        total = align_up(size, GRANULE) + 2 * self.redzone
+        total = align_up(size, GRANULE) + 2 * REDZONE
         self._set_shadow(vm, raw, b"\x00" * (total // GRANULE))
         vm.charge(4)
         return 0

@@ -17,6 +17,10 @@ from repro.memory.layout import ASAN_SHADOW_BASE, ASAN_SHADOW_SCALE
 
 GRANULE = 1 << ASAN_SHADOW_SCALE          # 8 bytes per shadow byte
 
+#: Redzone size on each side of an object (scaled from ASan's defaults);
+#: the pass pads stack objects by it, the runtime heap and globals.
+REDZONE = 32
+
 HEAP_LEFT_RZ = 0xFA
 HEAP_RIGHT_RZ = 0xFB
 FREED = 0xFD

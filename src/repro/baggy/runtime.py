@@ -38,6 +38,9 @@ SLOT_SIZE = 1 << SLOT_SHIFT
 #: materialized), mirroring ASan's shadow placement trick.
 TABLE_BASE = 0x3000_0000
 
+#: Bytes of the buddy arena every protected heap object comes from.
+ARENA_BYTES = 8 * 1024 * 1024
+
 
 def table_address(address: int) -> int:
     return TABLE_BASE + ((address & ADDRESS_MASK) >> SLOT_SHIFT)
@@ -49,11 +52,9 @@ class BaggyScheme(SchemeRuntime):
     name = "baggy"
     run_state = SchemeRuntime.run_state + ("_sizes", "padding_bytes")
 
-    def __init__(self, arena_bytes: int = 8 * 1024 * 1024,
-                 optimize_safe: bool = True,
+    def __init__(self, optimize_safe: bool = True,
                  policy: str = violation_policy.ABORT):
         super().__init__(policy=policy)
-        self.arena_bytes = arena_bytes
         self.optimize_safe = optimize_safe
         self.buddy: Optional[BuddyAllocator] = None
         self._sizes: Dict[int, int] = {}    # base -> requested size
@@ -71,7 +72,7 @@ class BaggyScheme(SchemeRuntime):
         vm.enclave.space.map(TABLE_BASE, table_span, PERM_RW, "baggy-table")
         # The arena must sit below bit 31 so OOB-marked pointers (bit 31
         # set) point at unmapped space and fault on dereference.
-        self.buddy = BuddyAllocator(vm.enclave.space, self.arena_bytes,
+        self.buddy = BuddyAllocator(vm.enclave.space, ARENA_BYTES,
                                     top=0x6000_0000)
 
     def snapshot(self) -> object:
@@ -178,6 +179,6 @@ class BaggyScheme(SchemeRuntime):
     def memory_overhead_report(self, vm: "VM") -> Dict[str, int]:
         return {
             "padding_bytes": self.padding_bytes,
-            "arena_bytes": self.arena_bytes,
+            "arena_bytes": ARENA_BYTES,
             "violations": self.violations,
         }

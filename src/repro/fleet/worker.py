@@ -37,8 +37,12 @@ SERVER_ITERATIONS = 1 << 30
 SERVED = "served"
 ERROR = "error"
 
-#: Base module -> ``(scheme_name, scheme_kwargs, policy)`` -> the image
-#: built from it.  The key is exactly :func:`make_scheme`'s inputs and
+#: Enclave cycles one control request may spend before
+#: :meth:`EnclaveWorker.drive_control` calls it a runaway.
+CONTROL_MAX_CYCLES = 50_000_000
+
+#: Base module -> ``(scheme_name, policy)`` -> the image built from
+#: it.  The key is every input the worker gives :func:`make_scheme` and
 #: instrumentation is deterministic, so every worker of a campaign
 #: (serving workers and recovery spares alike) loads one image, which
 #: nothing at run time mutates.  The images die with their module.
@@ -64,16 +68,15 @@ class EnclaveWorker:
 
     def __init__(self, wid: int, module, scheme_name: str,
                  policy: Optional[str] = None, config=None,
-                 scheme_kwargs=None, watchdog_budget: int = 200_000,
+                 watchdog_budget: int = 200_000,
                  epc_spike_rate: float = 0.0,
                  faults_seed: Optional[int] = None, telemetry=None,
-                 forensics=None, mutates=None, obs=None):
+                 forensics=None, obs=None):
         self.wid = wid
         self.module = module              # compiled, uninstrumented base
         self.scheme_name = scheme_name
         self.policy = policy
         self.config = config
-        self.scheme_kwargs = scheme_kwargs
         self.watchdog_budget = watchdog_budget
         self.epc_spike_rate = epc_spike_rate
         self.faults_seed = faults_seed
@@ -87,8 +90,9 @@ class EnclaveWorker:
         #: because workers are depth-1) for critical-path attribution.
         self.obs = obs
         #: Predicate classifying request payloads as state-mutating; only
-        #: set when the campaign runs with stateful recovery enabled.
-        self.mutates = mutates
+        #: set by ``RecoveryManager.attach`` when the campaign runs with
+        #: stateful recovery enabled.
+        self.mutates = None
         #: Recovery manager back-reference (set by ``RecoveryManager.attach``)
         #: so ``submit`` can write-ahead-log mutating requests.
         self.recovery = None
@@ -111,12 +115,9 @@ class EnclaveWorker:
         change."""
         self.incarnations += 1
         if self.vm is None:
-            self.scheme = make_scheme(self.scheme_name, self.scheme_kwargs,
-                                      self.policy)
+            self.scheme = make_scheme(self.scheme_name, policy=self.policy)
             images = _IMAGES.setdefault(self.module, {})
-            key = (self.scheme_name,
-                   tuple(sorted((self.scheme_kwargs or {}).items())),
-                   self.policy)
+            key = (self.scheme_name, self.policy)
             self.vm, image = vm_mod.build_vm(
                 self.module, self.scheme, self.config, self.telemetry,
                 self.forensics, image=images.get(key))
@@ -190,7 +191,7 @@ class EnclaveWorker:
             self.inflight = (rid, payload)
             self._dedup_ack = True
             if self.forensics is not None:
-                self.forensics.record(
+                self.forensics.recorder.record(
                     "dedup", ts=vm.counters.instructions, cat="fleet",
                     rid=rid, wid=self.wid)
             return
@@ -208,7 +209,7 @@ class EnclaveWorker:
         if self.forensics is not None:
             vm.request_id = rid
             vm.request_payload = payload
-            self.forensics.record(
+            self.forensics.recorder.record(
                 "dispatch", ts=vm.counters.instructions, cat="fleet",
                 rid=rid, wid=self.wid, conn=self.conn, mid=mid)
         vm.unblock_net_waiters(self.conn)
@@ -270,8 +271,7 @@ class EnclaveWorker:
         return not any(t.state == vm_mod.RUNNABLE for t in self.vm.threads)
 
     # ------------------------------------------------------------------
-    def drive_control(self, payload: bytes,
-                      max_cycles: int = 50_000_000) -> Tuple[List[bytes], int]:
+    def drive_control(self, payload: bytes) -> Tuple[List[bytes], int]:
         """Synchronously run one control request (snapshot dump, restore
         row, WAL replay) through the live VM and return
         ``(reply_messages, cycles_spent)``.
@@ -297,7 +297,7 @@ class EnclaveWorker:
             if thread is None:
                 break                      # parked back in blocking recv
             vm.step(thread, vm.quantum)
-            if vm.enclave.cycles() - start > max_cycles:
+            if vm.enclave.cycles() - start > CONTROL_MAX_CYCLES:
                 raise RuntimeError(
                     f"control request runaway on worker {self.wid}")
         messages = list(vm.net.sent(self.conn)[seen:])

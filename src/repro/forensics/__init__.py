@@ -48,9 +48,6 @@ from repro.vm import policy as violation_policy
 #: *first* N triggers are kept, later ones only counted).
 MAX_POSTMORTEMS = 16
 
-#: Flight-recorder events snapshotted into each postmortem.
-POSTMORTEM_LAST_N = 32
-
 
 class Forensics:
     """One forensics context: flight recorder + postmortems + anomalies.
@@ -61,26 +58,13 @@ class Forensics:
 
     def __init__(self, capacity: int = 4096,
                  max_postmortems: int = MAX_POSTMORTEMS,
-                 last_n: int = POSTMORTEM_LAST_N,
-                 epc_faults_per_tick: int = 200,
-                 latency_factor: float = 4.0,
                  crash_loop_window: int = 60):
         self.recorder = FlightRecorder(capacity)
         self.monitor = AnomalyMonitor(
-            self.recorder, epc_faults_per_tick=epc_faults_per_tick,
-            latency_factor=latency_factor,
-            crash_loop_window=crash_loop_window)
+            self.recorder, crash_loop_window=crash_loop_window)
         self.max_postmortems = max_postmortems
-        self.last_n = last_n
         self.postmortems: List[Dict[str, object]] = []
         self.postmortems_dropped = 0
-
-    # -- recording passthrough -------------------------------------------
-    def record(self, kind: str, ts: int = 0, cat: str = "",
-               rid: Optional[int] = None, wid: Optional[int] = None,
-               **detail) -> None:
-        self.recorder.record(kind, ts=ts, cat=cat, rid=rid, wid=wid,
-                             **detail)
 
     # -- scheme hook -----------------------------------------------------
     def on_violation(self, vm, scheme, err: BoundsViolation,
@@ -125,7 +109,7 @@ class Forensics:
             wid = getattr(vm, "worker_id", None)
         report = capture_postmortem(
             vm, err, reason=reason, rid=rid, payload=payload, wid=wid,
-            recorder=self.recorder, last_n=self.last_n, thread=thread)
+            recorder=self.recorder, thread=thread)
         self.postmortems.append(report)
         self.recorder.record("postmortem", ts=vm.counters.instructions,
                              cat="forensics", rid=rid, wid=wid,

@@ -35,6 +35,9 @@ POSTMORTEM_SCHEMA = 1
 #: Bytes of payload preserved verbatim (hex) in a report.
 PAYLOAD_PREVIEW = 64
 
+#: Flight-recorder events snapshotted into each report.
+POSTMORTEM_LAST_N = 32
+
 #: ASan decode: granules shown on each side of the faulting granule.
 SHADOW_WINDOW = 8
 
@@ -257,7 +260,7 @@ def capture_postmortem(vm, err, reason: Optional[str] = None,
                        rid: Optional[int] = None,
                        payload: Optional[bytes] = None,
                        wid: Optional[int] = None,
-                       recorder=None, last_n: int = 32,
+                       recorder=None,
                        thread=None) -> Dict[str, object]:
     """Build the self-contained report dict (see module docstring)."""
     scheme = vm.scheme
@@ -282,7 +285,7 @@ def capture_postmortem(vm, err, reason: Optional[str] = None,
             request["preview_hex"] = payload[:PAYLOAD_PREVIEW].hex()
         report["request"] = request
     if recorder is not None:
-        report["events"] = [r.as_dict() for r in recorder.last(last_n)]
+        report["events"] = [r.as_dict() for r in recorder.last(POSTMORTEM_LAST_N)]
     return report
 
 

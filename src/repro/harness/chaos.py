@@ -24,6 +24,9 @@ from repro.harness.runner import RunResult, run_server
 from repro.workloads import NetworkSim
 from repro.workloads.apps import apache, memcached, nginx, sqlite_server
 
+#: The scheme :func:`chaos_availability` protects every app with.
+SCHEME = "sgxbounds"
+
 
 class ChaosProfile:
     """Per-app fuzzing profile: protocol shape + scripted attacks."""
@@ -74,12 +77,11 @@ PROFILES: Dict[str, ChaosProfile] = {
 }
 
 
-def run_chaos_server(app_name: str, scheme: str = "sgxbounds",
+def run_chaos_server(app_name: str, scheme: str = SCHEME,
                      policy: str = "drop-request", fault_rate: float = 0.2,
                      size: str = "XS", seed: int = 1234,
                      retry_limit: int = 1,
                      epc_spike_rate: Optional[float] = None,
-                     tag_flip_rate: float = 0.0,
                      telemetry=None) -> RunResult:
     """One chaos run: fuzzed workload + runtime faults + hardened clients.
 
@@ -105,9 +107,8 @@ def run_chaos_server(app_name: str, scheme: str = "sgxbounds",
     if epc_spike_rate is None:
         epc_spike_rate = fault_rate * 0.25
     faults = None
-    if epc_spike_rate > 0.0 or tag_flip_rate > 0.0:
+    if epc_spike_rate > 0.0:
         faults = FaultInjector(derive(seed, f"inject:{app_name}"),
-                               tag_flip_rate=tag_flip_rate,
                                epc_spike_rate=epc_spike_rate)
     result = run_server(mod.SOURCE, by_conn, scheme, count, threads=threads,
                         config=APP_CONFIG, name=app_name, policy=policy,
@@ -119,62 +120,59 @@ def run_chaos_server(app_name: str, scheme: str = "sgxbounds",
 
 
 def chaos_availability(apps: Sequence[str] = ("memcached", "nginx", "apache"),
-                       schemes: Sequence[str] = ("sgxbounds",),
                        policies: Sequence[str] = ("abort", "drop-request",
                                                   "boundless"),
                        fault_rates: Sequence[float] = (0.0, 0.2),
-                       size: str = "XS", seed: int = 1234,
-                       telemetry=None) -> Tuple[Dict, str]:
-    """Sweep fault rates x policies x schemes over the server apps.
+                       size: str = "XS", seed: int = 1234
+                       ) -> Tuple[Dict, str]:
+    """Sweep fault rates x policies over the server apps under
+    :data:`SCHEME`.
 
     Returns ``(data, text)`` like the other experiment drivers:
     ``data[app][(scheme, policy, rate)]`` holds the availability record,
     ``text`` is the rendered report.
     """
     from repro import telemetry as telemetry_mod
-    telemetry = telemetry if telemetry is not None \
-        else telemetry_mod.get_default()
+    telemetry = telemetry_mod.get_default()
     chunks: List[str] = []
     data: Dict[str, Dict] = {}
     exhibit: Optional[Dict] = None
     for app_name in apps:
         rows = []
         data[app_name] = {}
-        for scheme in schemes:
-            for rate in fault_rates:
-                for policy in policies:
-                    r = run_chaos_server(app_name, scheme=scheme,
-                                         policy=policy, fault_rate=rate,
-                                         size=size, seed=seed,
-                                         telemetry=telemetry)
-                    net_stats = r.resilience["net"]
-                    availability = net_stats["availability"]
-                    responses = net_stats["responses"]
-                    cycles_per = (r.cycles / responses) / 1000 \
-                        if responses else None
-                    record = {
-                        "availability": availability,
-                        "responses": responses,
-                        "pushed": net_stats["pushed"],
-                        "cycles_per_response_kcycles": cycles_per,
-                        "dropped": r.resilience["dropped_requests"],
-                        "recovered": r.resilience["recovered_requests"],
-                        "retries": net_stats["retries"],
-                        "errors": net_stats["errors"],
-                        "violations": r.resilience["violations"],
-                        "status": r.crashed or "ok",
-                    }
-                    data[app_name][(scheme, policy, rate)] = record
-                    if telemetry is not None:
-                        telemetry.registry.gauge(
-                            f"chaos.{app_name}.{scheme}.{policy}"
-                            f".rate_{rate}.availability").set(availability)
-                    rows.append([scheme, policy, rate, net_stats["pushed"],
-                                 responses, availability, cycles_per,
-                                 record["dropped"], record["retries"],
-                                 record["errors"], record["status"]])
-                    if exhibit is None and r.violation is not None:
-                        exhibit = r.violation
+        for rate in fault_rates:
+            for policy in policies:
+                r = run_chaos_server(app_name, policy=policy,
+                                     fault_rate=rate, size=size, seed=seed,
+                                     telemetry=telemetry)
+                net_stats = r.resilience["net"]
+                availability = net_stats["availability"]
+                responses = net_stats["responses"]
+                cycles_per = (r.cycles / responses) / 1000 \
+                    if responses else None
+                record = {
+                    "availability": availability,
+                    "responses": responses,
+                    "pushed": net_stats["pushed"],
+                    "cycles_per_response_kcycles": cycles_per,
+                    "dropped": r.resilience["dropped_requests"],
+                    "recovered": r.resilience["recovered_requests"],
+                    "retries": net_stats["retries"],
+                    "errors": net_stats["errors"],
+                    "violations": r.resilience["violations"],
+                    "status": r.crashed or "ok",
+                }
+                data[app_name][(SCHEME, policy, rate)] = record
+                if telemetry is not None:
+                    telemetry.registry.gauge(
+                        f"chaos.{app_name}.{SCHEME}.{policy}"
+                        f".rate_{rate}.availability").set(availability)
+                rows.append([SCHEME, policy, rate, net_stats["pushed"],
+                             responses, availability, cycles_per,
+                             record["dropped"], record["retries"],
+                             record["errors"], record["status"]])
+                if exhibit is None and r.violation is not None:
+                    exhibit = r.violation
         chunks.append(report.series_table(
             f"Chaos availability ({app_name}): fault rate x policy",
             ["scheme", "policy", "rate", "pushed", "resp", "avail",

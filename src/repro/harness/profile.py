@@ -21,11 +21,16 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.harness import report
 from repro.harness.runner import DEFAULT_SCHEMES, run_workload
 from repro.sgx import EnclaveConfig
-from repro.sgx.counters import CostModel
 from repro.telemetry import Telemetry, attribute_overhead, flame_rows
 from repro.telemetry.tracer import SIM_CLOCK, chrome_trace_document
 from repro.workloads import get
 from repro.workloads.registry import Workload
+
+#: Every instrumented run is attributed against this scheme's run, and
+#: the flame table shows its hottest functions.
+BASELINE = "native"
+FLAME_LIMIT = 12
+
 
 def normalize_target(target: str) -> str:
     """Accept both CLI habits ("fig7") and the zero-padded benchmark
@@ -52,9 +57,8 @@ def resolve_target(target: str) -> Tuple[List[Workload],
 
 
 def profile_experiment(target: str, size: str = "XS",
-                       schemes: Sequence[str] = DEFAULT_SCHEMES,
-                       baseline: str = "native",
-                       flame_limit: int = 12) -> Tuple[Dict, str]:
+                       schemes: Sequence[str] = DEFAULT_SCHEMES
+                       ) -> Tuple[Dict, str]:
     """Profile ``target`` under ``schemes``; returns ``(data, text)``.
 
     ``data`` carries the full machine-readable payload: ``data["trace"]``
@@ -62,8 +66,8 @@ def profile_experiment(target: str, size: str = "XS",
     attribution + registry snapshots, keyed by workload then scheme.
     """
     workloads, config = resolve_target(target)
-    if baseline not in schemes:
-        schemes = (baseline,) + tuple(schemes)
+    if BASELINE not in schemes:
+        schemes = (BASELINE,) + tuple(schemes)
     cost = (config or EnclaveConfig()).cost
     enclave = (config or EnclaveConfig()).enclave
     trace_events: List[Dict] = []
@@ -93,13 +97,13 @@ def profile_experiment(target: str, size: str = "XS",
             for event in doc["traceEvents"]:
                 event["pid"] = pid
                 trace_events.append(event)
-        base_cycles = runs[baseline]["cycles"]
+        base_cycles = runs[BASELINE]["cycles"]
         rows = []
         for scheme in schemes:
-            if scheme == baseline:
+            if scheme == BASELINE:
                 continue
             attribution = attribute_overhead(profiles[scheme],
-                                             profiles[baseline],
+                                             profiles[BASELINE],
                                              cost, enclave)
             runs[scheme]["attribution"] = attribution
             shares = attribution["shares"]
@@ -114,10 +118,10 @@ def profile_experiment(target: str, size: str = "XS",
                 100.0 * shares["cache"],
                 100.0 * shares["epc_fault"],
             ])
-        metrics[workload.name] = {"schemes": runs, "baseline": baseline}
+        metrics[workload.name] = {"schemes": runs, "baseline": BASELINE}
         chunks.append(report.series_table(
             f"Overhead attribution: {workload.name} (size {size}, "
-            f"vs {baseline}) — extra-cycle shares",
+            f"vs {BASELINE}) — extra-cycle shares",
             ["scheme", "status", "overhead", "extra_cycles",
              "check%", "cache%", "epc%"], rows))
         # Failure-oblivious leakage accounting, when any run went
@@ -151,9 +155,9 @@ def profile_experiment(target: str, size: str = "XS",
                 f"Compiled blocks: {workload.name} (size {size}) — "
                 f"block entries", ["scheme", "block"], block_rows))
     # One exemplar flame table: the baseline profile of the last workload.
-    flame = flame_rows(profiles[baseline], cost, enclave, limit=flame_limit)
+    flame = flame_rows(profiles[BASELINE], cost, enclave, limit=FLAME_LIMIT)
     chunks.append(report.series_table(
-        f"Flame table: {workloads[-1].name}/{baseline} "
+        f"Flame table: {workloads[-1].name}/{BASELINE} "
         f"(flat profile, hottest first)",
         ["function", "calls", "self_instr", "%instr", "cycles",
          "checks", "llc_miss", "epc_faults"], flame))
@@ -161,7 +165,7 @@ def profile_experiment(target: str, size: str = "XS",
         "experiment": normalize_target(target),
         "size": size,
         "schemes": list(schemes),
-        "baseline": baseline,
+        "baseline": BASELINE,
         "metrics": metrics,
         "trace": chrome_trace_document(trace_events, SIM_CLOCK,
                                        dropped_events=dropped),

@@ -7,7 +7,7 @@ benchmark files tee them into the experiment log.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 
 def format_cell(value: Optional[float]) -> str:
@@ -18,8 +18,7 @@ def format_cell(value: Optional[float]) -> str:
 
 def overhead_table(title: str,
                    table: Dict[str, Dict[str, Optional[float]]],
-                   schemes: Sequence[str],
-                   gmean_row: bool = True) -> str:
+                   schemes: Sequence[str]) -> str:
     """Render overhead[workload][scheme] with a geometric-mean footer."""
     from repro.harness.runner import geomean
     lines = [title, "=" * len(title)]
@@ -30,19 +29,18 @@ def overhead_table(title: str,
         row = table[workload]
         cells = "".join(f"{format_cell(row.get(s)):>12}" for s in schemes)
         lines.append(f"{workload:<{width}}" + cells)
-    if gmean_row:
-        cells = ""
-        for s in schemes:
-            values = [row.get(s) for row in table.values()]
-            if any(v is None for v in values):
-                survivors = [v for v in values if v is not None]
-                cells += f"{format_cell(geomean(survivors)):>11}*"
-            else:
-                cells += f"{format_cell(geomean(values)):>12}"
-        lines.append(f"{'gmean':<{width}}" + cells)
-        if "*" in cells:
-            lines.append("(* = over surviving runs only; 'crash' bars are "
-                         "missing, as in the paper)")
+    cells = ""
+    for s in schemes:
+        values = [row.get(s) for row in table.values()]
+        if any(v is None for v in values):
+            survivors = [v for v in values if v is not None]
+            cells += f"{format_cell(geomean(survivors)):>11}*"
+        else:
+            cells += f"{format_cell(geomean(values)):>12}"
+    lines.append(f"{'gmean':<{width}}" + cells)
+    if "*" in cells:
+        lines.append("(* = over surviving runs only; 'crash' bars are "
+                     "missing, as in the paper)")
     return "\n".join(lines)
 
 

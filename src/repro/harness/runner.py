@@ -25,6 +25,7 @@ from repro.vm import VM
 from repro.vm.machine import build_vm, report_crash
 from repro.vm.scheme import SchemeRuntime
 from repro.workloads import NetworkSim, Workload
+from repro.workloads.registry import DEFAULT_SIZE
 
 #: Scheme factories by registry name; kwargs forwarded to the constructor.
 SCHEMES: Dict[str, Callable[..., Optional[SchemeRuntime]]] = {
@@ -36,6 +37,12 @@ SCHEMES: Dict[str, Callable[..., Optional[SchemeRuntime]]] = {
 }
 
 DEFAULT_SCHEMES = ("native", "sgxbounds", "asan", "mpx")
+
+#: The scheme every overhead ratio divides by.
+BASELINE = "native"
+
+#: Instruction budget of one suite workload run.
+WORKLOAD_MAX_INSTRUCTIONS = 500_000_000
 
 
 class RunResult:
@@ -106,7 +113,6 @@ def run_workload(workload: Workload, scheme_name: str,
                  size: Optional[str] = None, threads: Optional[int] = None,
                  config: Optional[EnclaveConfig] = None,
                  scheme_kwargs: Optional[Dict] = None,
-                 max_instructions: int = 500_000_000,
                  telemetry=None, forensics=None) -> RunResult:
     """Run one registered suite workload under one scheme.
 
@@ -115,14 +121,14 @@ def run_workload(workload: Workload, scheme_name: str,
     process-wide defaults (set by CLI ``--trace-out`` / ``--metrics-out``
     / ``--log-out`` flags) apply, which are normally None.
     """
-    size = size or workload.default_size
+    size = size or DEFAULT_SIZE
     args = workload.args_for(size, threads)
     result = RunResult(workload.name, scheme_name, size, args[1])
     scheme = make_scheme(scheme_name, scheme_kwargs)
     telemetry, forensics = default_sinks(telemetry, forensics)
     vm, image = build_vm(
         compile_source(workload.source, workload.name), scheme, config,
-        telemetry, forensics, max_instructions=max_instructions)
+        telemetry, forensics, max_instructions=WORKLOAD_MAX_INSTRUCTIONS)
     if vm.telemetry is not None:
         vm.telemetry.label_run(f"{workload.name}/{scheme_name}/{size}")
     try:
@@ -190,23 +196,16 @@ def run_server(source: str, requests_by_conn: Sequence[Sequence[bytes]],
 def sweep(workloads: Sequence[Workload],
           schemes: Sequence[str] = DEFAULT_SCHEMES,
           size: Optional[str] = None, threads: Optional[int] = None,
-          config: Optional[EnclaveConfig] = None,
-          scheme_kwargs: Optional[Dict[str, Dict]] = None
-          ) -> List[RunResult]:
+          config: Optional[EnclaveConfig] = None) -> List[RunResult]:
     """Cartesian sweep of workloads x schemes (one size)."""
-    results: List[RunResult] = []
-    for workload in workloads:
-        for scheme_name in schemes:
-            kwargs = (scheme_kwargs or {}).get(scheme_name)
-            results.append(run_workload(workload, scheme_name, size=size,
-                                        threads=threads, config=config,
-                                        scheme_kwargs=kwargs))
-    return results
+    return [run_workload(workload, scheme_name, size=size, threads=threads,
+                         config=config)
+            for workload in workloads for scheme_name in schemes]
 
 
-def overhead(results: Sequence[RunResult], metric: str = "cycles",
-             baseline: str = "native") -> Dict[str, Dict[str, Optional[float]]]:
-    """overhead[workload][scheme] = metric ratio vs the baseline scheme.
+def overhead(results: Sequence[RunResult], metric: str = "cycles"
+             ) -> Dict[str, Dict[str, Optional[float]]]:
+    """overhead[workload][scheme] = metric ratio vs :data:`BASELINE`.
 
     Crashed runs map to None (the paper's missing bars); verifies that
     instrumented runs computed the same result as the baseline.  Edge
@@ -224,7 +223,7 @@ def overhead(results: Sequence[RunResult], metric: str = "cycles",
         by_cell.setdefault(f"{r.workload}:{r.size}:{r.threads}", {})[r.scheme] = r
     table: Dict[str, Dict[str, Optional[float]]] = {}
     for cell, per_scheme in by_cell.items():
-        base = per_scheme.get(baseline)
+        base = per_scheme.get(BASELINE)
         if base is None or not base.ok:
             continue
         row: Dict[str, Optional[float]] = {}
@@ -232,14 +231,12 @@ def overhead(results: Sequence[RunResult], metric: str = "cycles",
             if not r.ok:
                 row[scheme_name] = None
                 continue
-            if r.result != base.result and scheme_name != baseline:
+            if r.result != base.result and scheme_name != BASELINE:
                 raise AssertionError(
                     f"{cell}: {scheme_name} computed {r.result}, "
                     f"native computed {base.result}")
-            base_value = getattr(base, metric) if metric != "peak_reserved" \
-                else base.peak_reserved
-            value = getattr(r, metric) if metric != "peak_reserved" \
-                else r.peak_reserved
+            base_value = getattr(base, metric)
+            value = getattr(r, metric)
             if not base_value:
                 warnings.warn(
                     f"overhead(): {cell} has a zero-{metric} baseline; "

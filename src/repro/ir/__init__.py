@@ -2,7 +2,7 @@
 
 from repro.ir import instructions as ops
 from repro.ir.builder import IRBuilder
-from repro.ir.instructions import FuncRef, GlobalRef, Instr, const_slot, is_reg, slot_of
+from repro.ir.instructions import FuncRef, GlobalRef, Instr, is_reg, slot_of
 from repro.ir.module import Block, Function, GlobalVar, Module
 from repro.ir.printer import format_instr, print_function, print_module
 from repro.ir.verifier import verify_module
@@ -12,7 +12,6 @@ __all__ = [
     "Instr",
     "GlobalRef",
     "FuncRef",
-    "const_slot",
     "slot_of",
     "is_reg",
     "Block",

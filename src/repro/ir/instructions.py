@@ -202,11 +202,6 @@ class Instr:
         return f"<{OP_NAMES.get(self.op, self.op)} dest={self.dest}>"
 
 
-def const_slot(index: int) -> int:
-    """Encode constant-pool slot ``index`` as an operand."""
-    return -index - 1
-
-
 def slot_of(operand: int) -> int:
     """Decode a (negative) constant operand back to its pool index."""
     return -operand - 1

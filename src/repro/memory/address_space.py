@@ -252,15 +252,6 @@ class AddressSpace:
                 kept.append(Region(r.name, end, tail, r.perms))
         self.regions = kept
 
-    def is_mapped(self, address: int) -> bool:
-        """Whether the page containing ``address`` is mapped (guards count)."""
-        return self._run_perms(address >> PAGE_SHIFT) is not None
-
-    def is_accessible(self, address: int) -> bool:
-        """Whether a 1-byte read at ``address`` would succeed."""
-        perms = self._run_perms(address >> PAGE_SHIFT)
-        return perms is not None and bool(perms & PERM_READ)
-
     def protect(self, start: int, size: int, perms: int) -> None:
         """Change permissions of an already-mapped page range.
 

@@ -16,7 +16,7 @@ Three allocators cover the allocation patterns the paper's workloads exercise:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.errors import DoubleFree, OutOfMemory
 from repro.memory.address_space import AddressSpace, PERM_RW
@@ -55,12 +55,9 @@ class MmapAllocator:
     the paper measures virtual-memory footprints.
     """
 
-    def __init__(self, space: AddressSpace, base: int = MMAP_BASE,
-                 limit: int = MMAP_LIMIT):
+    def __init__(self, space: AddressSpace):
         self._space = space
-        self._base = base
-        self._limit = limit
-        self._cursor = base
+        self._cursor = MMAP_BASE
         self._holes: List[Tuple[int, int]] = []   # (addr, size), sorted by addr
         self._live: Dict[int, int] = {}
 
@@ -76,7 +73,7 @@ class MmapAllocator:
                 self._space.map(addr, size, PERM_RW, name)
                 self._live[addr] = size
                 return addr
-        if self._cursor + size > self._limit:
+        if self._cursor + size > MMAP_LIMIT:
             raise OutOfMemory(size, "mmap region exhausted")
         addr = self._cursor
         self._cursor += size
@@ -92,9 +89,6 @@ class MmapAllocator:
         self._space.unmap(addr, size)
         self._holes.append((addr, size))
         self._holes.sort()
-
-    def size_of(self, addr: int) -> Optional[int]:
-        return self._live.get(addr)
 
     def snapshot(self) -> tuple:
         """Allocation state by value (a fleet worker's VM reset)."""
@@ -114,13 +108,10 @@ class FreeListAllocator:
     allocator itself.
     """
 
-    def __init__(self, space: AddressSpace, base: int = HEAP_BASE,
-                 limit: int = HEAP_LIMIT):
+    def __init__(self, space: AddressSpace):
         self._space = space
-        self._base = base
-        self._limit = limit
-        self._brk = base              # next unallocated heap byte
-        self._mapped_end = base       # heap is mapped up to here
+        self._brk = HEAP_BASE         # next unallocated heap byte
+        self._mapped_end = HEAP_BASE  # heap is mapped up to here
         self._free: Dict[int, List[int]] = {}
         self._live: Dict[int, int] = {}       # addr -> requested size
         self._block: Dict[int, int] = {}      # addr -> block (class) size
@@ -132,9 +123,9 @@ class FreeListAllocator:
     def _grow_heap_to(self, end: int) -> None:
         if end <= self._mapped_end:
             return
-        if end > self._limit:
+        if end > HEAP_LIMIT:
             raise OutOfMemory(end - self._brk, "heap limit reached")
-        new_end = min(self._limit, align_up(end, _BRK_CHUNK))
+        new_end = min(HEAP_LIMIT, align_up(end, _BRK_CHUNK))
         self._space.map(self._mapped_end, new_end - self._mapped_end,
                         PERM_RW, "heap")
         self._mapped_end = new_end
@@ -195,16 +186,9 @@ class FreeListAllocator:
             return
         self._free.setdefault(block, []).append(addr)
 
-    def usable_size(self, addr: int) -> Optional[int]:
-        """Requested size of a live allocation, or None."""
-        return self._live.get(addr)
-
-    def is_live(self, addr: int) -> bool:
-        return addr in self._live
-
     def heap_bytes(self) -> int:
         """Bytes of heap address space consumed so far (brk high-water)."""
-        return self._mapped_end - self._base
+        return self._mapped_end - HEAP_BASE
 
     def snapshot(self) -> tuple:
         """Heap and mmap allocation state by value (a fleet worker's VM
@@ -299,14 +283,6 @@ class BuddyAllocator:
         self._free = {order: list(addrs) for order, addrs in free.items()}
         self._live = dict(live)
 
-    def block_bounds(self, addr: int) -> Tuple[int, int]:
-        """(base, size) of the power-of-two block containing ``addr``."""
-        for base, order in self._live.items():
-            size = 1 << order
-            if base <= addr < base + size:
-                return base, size
-        raise KeyError(f"0x{addr:08x} not in any live buddy block")
-
 
 class PoolAllocator:
     """Apache-apr-style pool: page-aligned chunks, bump allocation, bulk free.
@@ -345,7 +321,3 @@ class PoolAllocator:
         self._chunks.clear()
         self._cursor = 0
         self._chunk_end = 0
-
-    @property
-    def chunk_count(self) -> int:
-        return len(self._chunks)

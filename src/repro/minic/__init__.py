@@ -1,14 +1,11 @@
 """MiniC: the C dialect the reproduction's workloads are written in."""
 
-from typing import Optional
-
 from repro.ir import Module, verify_module
 from repro.minic.codegen import BUILTINS, compile_unit
 from repro.minic.parser import parse
 
 
-def compile_source(source: str, name: str = "minic",
-                   verify: bool = True) -> Module:
+def compile_source(source: str, name: str = "minic") -> Module:
     """Compile MiniC ``source`` into an (unfinalized) IR module.
 
     The module is left in basic-block form so instrumentation passes can
@@ -17,8 +14,7 @@ def compile_source(source: str, name: str = "minic",
     """
     unit, structs = parse(source, name)
     module = compile_unit(unit, structs, name)
-    if verify:
-        verify_module(module)
+    verify_module(module)
     return module
 
 

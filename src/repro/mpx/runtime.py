@@ -17,9 +17,9 @@ The mechanics that matter for the reproduction:
   paper, up to ``OutOfMemory`` against the enclave commit limit.
 
 Scaling: the paper's 32-bit layout uses 4 MiB tables covering 1 MiB of
-address space.  Our workloads run at roughly 1/4 scale of that, so the
-default ``bt_cover_shift`` of 18 gives 1 MiB tables covering 256 KiB —
-the same 4:1 ratio at simulation scale (configurable).
+address space.  Our workloads run at roughly 1/4 scale of that, so
+``BT_COVER_SHIFT`` = 18 gives 1 MiB tables covering 256 KiB — the same
+4:1 ratio at simulation scale.
 """
 
 from __future__ import annotations
@@ -39,6 +39,8 @@ if TYPE_CHECKING:   # pragma: no cover - typing only
 BT_ENTRY_SIZE = 32
 #: Bytes of pointer-slot granularity (one entry per 8-byte slot).
 SLOT_SIZE = 8
+#: Each bounds table covers ``1 << BT_COVER_SHIFT`` bytes of address space.
+BT_COVER_SHIFT = 18
 
 
 class MPXScheme(SchemeRuntime):
@@ -48,14 +50,14 @@ class MPXScheme(SchemeRuntime):
     uses_register_bounds = True
     run_state = SchemeRuntime.run_state + (
         "bd_base", "bounds_tables", "_bt_cache")
+    bt_cover_shift = BT_COVER_SHIFT
+    bt_size = ((1 << BT_COVER_SHIFT) // SLOT_SIZE) * BT_ENTRY_SIZE
+    bd_entries = (1 << 32) >> BT_COVER_SHIFT
 
-    def __init__(self, optimize_safe: bool = True, bt_cover_shift: int = 18,
+    def __init__(self, optimize_safe: bool = True,
                  policy: str = violation_policy.ABORT):
         super().__init__(policy=policy)
         self.optimize_safe = optimize_safe
-        self.bt_cover_shift = bt_cover_shift
-        self.bt_size = ((1 << bt_cover_shift) // SLOT_SIZE) * BT_ENTRY_SIZE
-        self.bd_entries = (1 << 32) >> bt_cover_shift
         self.bd_base = 0
         self.bounds_tables = 0
         self._bt_cache: Dict[int, int] = {}
@@ -69,7 +71,7 @@ class MPXScheme(SchemeRuntime):
     def attach(self, vm: "VM") -> None:
         super().attach(vm)
         # Bounds Directory, allocated once at startup (32 KiB at the
-        # paper's scale; ours scales with bt_cover_shift).
+        # paper's scale; ours scales with BT_COVER_SHIFT).
         self.bd_base = vm.enclave.heap.mmap.alloc(self.bd_entries * 8,
                                                   "mpx-bd")
 

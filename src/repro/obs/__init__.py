@@ -49,18 +49,18 @@ class Observability:
     :class:`repro.forensics.Forensics` honour.
     """
 
-    def __init__(self, seed: int = 0, max_traces: int = 100_000,
-                 rules=DEFAULT_RULES):
-        self.tracer = FleetTracer(seed=seed, max_traces=max_traces)
+    def __init__(self, seed: int = 0):
+        self.tracer = FleetTracer(seed=seed)
         self.attribution = AttributionLedger()
-        self.burn = BurnRateEngine(rules=rules)
+        self.burn = BurnRateEngine()
 
     # -- campaign lifecycle ---------------------------------------------
     def begin_campaign(self, config, forensics=None) -> None:
         """Bind to one campaign: seed the trace-id space, route alert
         fire/clear events into the campaign's flight recorder."""
         self.tracer.seed = config.seed
-        self.burn.recorder = forensics
+        self.burn.recorder = None if forensics is None \
+            else forensics.recorder
 
     # -- request lifecycle hooks (campaign/balancer/worker call these) --
     def on_submit(self, request, now: int) -> None:

@@ -23,18 +23,22 @@ collapse pages.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
+
+#: A firing rule clears once both windows burn at no more than this
+#: fraction of its threshold (the hysteresis that stops flapping).
+CLEAR_RATIO = 0.5
 
 
 class BurnRateRule:
     """One fast- or slow-burn alerting rule."""
 
     __slots__ = ("name", "slo_target", "long_window", "short_window",
-                 "threshold", "clear_ratio")
+                 "threshold")
 
     def __init__(self, name: str, slo_target: float = 0.95,
                  long_window: int = 40, short_window: int = 10,
-                 threshold: float = 6.0, clear_ratio: float = 0.5):
+                 threshold: float = 6.0):
         if not 0.0 < slo_target < 1.0:
             raise ValueError("slo_target must be in (0, 1)")
         if short_window > long_window:
@@ -44,7 +48,6 @@ class BurnRateRule:
         self.long_window = long_window
         self.short_window = short_window
         self.threshold = threshold
-        self.clear_ratio = clear_ratio
 
     @property
     def budget(self) -> float:
@@ -55,7 +58,7 @@ class BurnRateRule:
                 "long_window": self.long_window,
                 "short_window": self.short_window,
                 "threshold": self.threshold,
-                "clear_ratio": self.clear_ratio}
+                "clear_ratio": CLEAR_RATIO}
 
 
 #: Default rule pair, scaled to campaign ticks: the fast rule catches a
@@ -72,14 +75,14 @@ DEFAULT_RULES = (
 class BurnRateEngine:
     """Evaluates burn-rate rules over per-tick good/bad totals.
 
-    ``recorder`` is an optional ``repro.forensics.Forensics`` handle;
-    fire/clear events land in its flight recorder (kind ``burn_alert``)
-    as well as in :attr:`alerts`.
+    Fire/clear events land in :attr:`alerts` and, once
+    :meth:`repro.obs.Observability.begin_campaign` binds a campaign's
+    flight recorder to :attr:`recorder`, there too (kind ``burn_alert``).
     """
 
-    def __init__(self, rules=DEFAULT_RULES, recorder=None):
+    def __init__(self, rules=DEFAULT_RULES):
         self.rules = tuple(rules)
-        self.recorder = recorder
+        self.recorder = None
         #: Cumulative (good, bad) totals per observed tick.
         self._history: List[Tuple[int, int]] = []
         self._ticks: List[int] = []
@@ -119,8 +122,8 @@ class BurnRateEngine:
                 self.fired += 1
                 self._record("fire", rule, now, burn_long, burn_short)
             elif (is_active
-                  and burn_long <= rule.threshold * rule.clear_ratio
-                  and burn_short <= rule.threshold * rule.clear_ratio):
+                  and burn_long <= rule.threshold * CLEAR_RATIO
+                  and burn_short <= rule.threshold * CLEAR_RATIO):
                 del self.active[rule.name]
                 self.cleared += 1
                 self._record("clear", rule, now, burn_long, burn_short)

@@ -22,7 +22,7 @@ alert campaign (the ``--metrics-text-out`` artifact).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.obs import Observability, render_exposition, scheme_tax
 
@@ -31,6 +31,12 @@ from repro.obs import Observability, render_exposition, scheme_tax
 ALERT_RATE = 8
 ALERT_SIZE = "S"
 ALERT_DEADLINE = 20
+#: The attribution campaigns' schemes; each instrumented one is taxed
+#: against the baseline, and the exemplar's campaign gives the waterfalls.
+SCHEMES = ("native", "sgxbounds", "asan")
+BASELINE = "native"
+EXEMPLAR_SCHEME = "sgxbounds"
+ALERT_SCHEME = "sgxbounds"
 
 
 def _fnum(value: Optional[float], digits: int = 4) -> str:
@@ -49,10 +55,6 @@ def _exemplar_rows(rollup_rows) -> Tuple[Optional[Dict], Optional[Dict]]:
 
 def observe_fleet(app: str = "memcached", workers: int = 4,
                   seed: int = 1234, size: str = "XS",
-                  schemes: Sequence[str] = ("native", "sgxbounds", "asan"),
-                  baseline: str = "native",
-                  exemplar_scheme: str = "sgxbounds",
-                  alert_scheme: str = "sgxbounds",
                   telemetry=None) -> Tuple[Dict, str]:
     """Run the observatory campaigns and render the dashboard.
 
@@ -71,20 +73,20 @@ def observe_fleet(app: str = "memcached", workers: int = 4,
     # -- 1. attribution: healthy campaigns, matched populations ---------
     handles: Dict[str, Observability] = {}
     results: Dict[str, object] = {}
-    for scheme in schemes:
+    for scheme in SCHEMES:
         obs = handles[scheme] = Observability(seed=seed)
         config = CampaignConfig(app=app, scheme=scheme,
                                 policy="drop-request", workers=workers,
                                 fault_rate=0.0, seed=seed, size=size)
         results[scheme] = run_campaign(config, obs=obs)
     rollups = {scheme: handles[scheme].attribution.rollup()
-               for scheme in schemes}
-    taxes = {scheme: (scheme_tax(rollups[scheme], rollups[baseline])
-                      if scheme != baseline else None)
-             for scheme in schemes}
+               for scheme in SCHEMES}
+    taxes = {scheme: (scheme_tax(rollups[scheme], rollups[BASELINE])
+                      if scheme != BASELINE else None)
+             for scheme in SCHEMES}
 
     attrib_rows = []
-    for scheme in schemes:
+    for scheme in SCHEMES:
         roll = rollups[scheme]
         slo = results[scheme].slo
         comp = roll["mean_components"] or {}
@@ -108,8 +110,8 @@ def observe_fleet(app: str = "memcached", workers: int = 4,
         attrib_rows)]
 
     tax_rows = []
-    for scheme in schemes:
-        if scheme == baseline:
+    for scheme in SCHEMES:
+        if scheme == BASELINE:
             continue
         tax = taxes[scheme]
         if tax is None:
@@ -123,17 +125,17 @@ def observe_fleet(app: str = "memcached", workers: int = 4,
             _fnum(tax["delta_counters"]["instructions"], 1),
         ])
     chunks.append(report.series_table(
-        f"Bounds-check tax vs {baseline} (model-priced per-request "
+        f"Bounds-check tax vs {BASELINE} (model-priced per-request "
         f"enclave cycles)",
         ["scheme", "tax_kcyc", "tax_share", "check%", "cache%", "epc%",
          "d_instr"],
         tax_rows))
 
     # -- 2. exemplar waterfalls -----------------------------------------
-    exemplar_obs = handles.get(exemplar_scheme) or handles[schemes[0]]
+    exemplar_obs = handles[EXEMPLAR_SCHEME]
     slow, median = _exemplar_rows(exemplar_obs.attribution.rows)
     waterfalls = []
-    title = f"Exemplar waterfalls ({exemplar_scheme})"
+    title = f"Exemplar waterfalls ({EXEMPLAR_SCHEME})"
     waterfalls.append(title)
     waterfalls.append("-" * len(title))
     for label, row in (("slowest served request", slow),
@@ -157,7 +159,7 @@ def observe_fleet(app: str = "memcached", workers: int = 4,
     # -- 3. burn-rate alerts: naive collapse vs protected shedding ------
     from repro import forensics as forensics_mod
     alert_lines = []
-    title = (f"Burn-rate alerts ({alert_scheme}, size {ALERT_SIZE}, "
+    title = (f"Burn-rate alerts ({ALERT_SCHEME}, size {ALERT_SIZE}, "
              f"rate {ALERT_RATE}/tick, deadline {ALERT_DEADLINE} ticks)")
     alert_lines.append(title)
     alert_lines.append("-" * len(title))
@@ -167,7 +169,7 @@ def observe_fleet(app: str = "memcached", workers: int = 4,
         obs = Observability(seed=seed)
         forensics = forensics_mod.Forensics()
         config = CampaignConfig(
-            app=app, scheme=alert_scheme, policy="drop-request",
+            app=app, scheme=ALERT_SCHEME, policy="drop-request",
             workers=3, fault_rate=0.1, seed=seed, size=ALERT_SIZE,
             arrivals_per_tick=ALERT_RATE, deadline_ticks=ALERT_DEADLINE,
             overload=mode, max_ticks=2_000)

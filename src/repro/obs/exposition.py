@@ -22,12 +22,14 @@ import re
 from typing import Dict, List, Optional, Tuple
 
 _NAME_OK = re.compile(r"[^a-zA-Z0-9_:]")
+#: Prefix of every metric family name.
+NAMESPACE = "repro"
 
 
-def _metric_name(name: str, namespace: str = "repro") -> str:
+def _metric_name(name: str) -> str:
     """Prometheus-legal metric name: dots and dashes to underscores."""
     cleaned = _NAME_OK.sub("_", name.replace(".", "_").replace("-", "_"))
-    return f"{namespace}_{cleaned}"
+    return f"{NAMESPACE}_{cleaned}"
 
 
 def _fmt(value) -> str:
@@ -60,14 +62,13 @@ class _Family:
 class Exposition:
     """Builder for one exposition document."""
 
-    def __init__(self, namespace: str = "repro"):
-        self.namespace = namespace
+    def __init__(self):
         self._families: Dict[str, _Family] = {}
 
     def add(self, name: str, value, kind: str = "gauge",
             labels: Optional[Dict[str, str]] = None,
             suffix: str = "") -> None:
-        metric = _metric_name(name, self.namespace)
+        metric = _metric_name(name)
         family = self._families.get(metric)
         if family is None:
             family = self._families[metric] = _Family(metric, kind)
@@ -152,10 +153,10 @@ class Exposition:
 
 
 def render_exposition(registry=None, slo=None, burn=None, tracer=None,
-                      span_dropped: Optional[int] = None, forensics=None,
-                      namespace: str = "repro") -> str:
+                      span_dropped: Optional[int] = None,
+                      forensics=None) -> str:
     """One-call merge of every attached surface into exposition text."""
-    exposition = Exposition(namespace)
+    exposition = Exposition()
     if registry is not None:
         exposition.add_registry(registry)
     if slo is not None:

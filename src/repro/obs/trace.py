@@ -2,15 +2,13 @@
 
 A :class:`TraceContext` is minted once per request id at client submit —
 ``trace_id`` derives deterministically from the campaign seed and the
-request id, so two identical seeded campaigns mint identical contexts —
-and travels with the request through every layer it touches: the
-balancer's pending queue, the admission gate, dispatch onto a worker,
-the NetworkSim frame that carries the payload into the enclave (the
-wire format is the bare ``trace_id`` string on the message, surviving
-``maxlen`` splits and per-message-id retries because both reuse the same
-message object/id), execution in the enclave VM, and back out as a
-reply, a retry, a hedge re-dispatch, or a failover to a promoted
-replica.
+request id, so two identical seeded campaigns mint identical contexts.
+Nothing carries the context along: frames, queues and workers know only
+the request id, and the tracer files every hop under it.  The balancer's
+admission, assignment, dispatch, requeue, expiry and zombie replies reach
+the tracer as :mod:`repro.obs.events` hub events keyed by rid; the
+submit, the enclave sample and the terminal reply come from
+:class:`repro.obs.Observability`'s request hooks, keyed the same way.
 
 The :class:`FleetTracer` collects the resulting *hop events* keyed by
 request id: flat, append-only, on the campaign tick clock.  At export
@@ -48,10 +46,11 @@ HOP_KINDS = (
 class TraceContext:
     """Identity of one causal request trace (W3C-traceparent-shaped).
 
-    ``trace_id`` is the request's fleet-wide identity; ``span_id``
-    numbers hops within the trace (root = 1); ``parent_id`` links a hop
-    to the hop that caused it.  All ids derive from ``(seed, rid)`` so
-    contexts are byte-identical across identical seeded runs.
+    ``trace_id`` names the trace in exports; the rid it derives from is
+    what the tracer looks traces up by.  ``span_id`` numbers hops within
+    the trace (root = 1); ``parent_id`` links a hop to the hop that
+    caused it.  All ids derive from ``(seed, rid)`` so contexts are
+    byte-identical across identical seeded runs.
     """
 
     __slots__ = ("trace_id", "rid", "next_span")
@@ -231,12 +230,6 @@ class FleetTracer:
 
     def get(self, rid: int) -> Optional[RequestTrace]:
         return self.traces.get(rid)
-
-    def completed(self, status: Optional[str] = None) -> List[RequestTrace]:
-        """Traces that reached a terminal state, rid order."""
-        return [self.traces[rid] for rid in sorted(self.traces)
-                if self.traces[rid].status is not None
-                and (status is None or self.traces[rid].status == status)]
 
     # -- export ---------------------------------------------------------
     def chrome_trace(self, tick_cycles: int = 1) -> Dict[str, object]:

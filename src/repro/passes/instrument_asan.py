@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-from repro.asan.shadow import GRANULE
+from repro.asan.shadow import GRANULE, REDZONE
 from repro.ir import ops
 from repro.ir.instructions import Instr
 from repro.ir.module import Block, Function, Module
@@ -20,9 +20,6 @@ from repro.memory.layout import ASAN_SHADOW_BASE, ASAN_SHADOW_SCALE, align_up
 CHECK_HANDLER = "__asan_check"
 POISON_STACK = "__asan_poison_stack"
 UNPOISON_STACK = "__asan_unpoison_stack"
-
-#: Stack redzone on each side (must match the runtime's ``redzone``).
-STACK_REDZONE = 32
 
 _ACCESS_OPS = (ops.LOAD, ops.STORE, ops.ATOMICRMW, ops.CMPXCHG)
 
@@ -44,10 +41,10 @@ class _FunctionInstrumenter:
         rounded = align_up(size, GRANULE)
         raw = fn.new_reg("as_raw")
         out.append(Instr(ops.ALLOCA, dest=raw,
-                         size=rounded + 2 * STACK_REDZONE,
+                         size=rounded + 2 * REDZONE,
                          b=max(ins.b or 8, GRANULE), safe=True,
                          comment="asan: +redzones"))
-        out.append(Instr(ops.GEP, dest=ins.dest, a=raw, c=STACK_REDZONE,
+        out.append(Instr(ops.GEP, dest=ins.dest, a=raw, c=REDZONE,
                          size=1, safe=True, comment="skip left redzone"))
         out.append(Instr(ops.CALL, name=POISON_STACK,
                          args=(raw, fn.intern_const(size)), safe=True))

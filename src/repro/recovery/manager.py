@@ -87,7 +87,6 @@ class RecoveryManager:
 
     def __init__(self, mode: str, app, app_name: str, tick_cycles: int,
                  checkpoint_interval: int, worker_factory,
-                 sealing: Optional[SealingService] = None,
                  events=None):
         if mode not in MODES:
             raise ValueError(f"unknown recovery mode {mode!r}; "
@@ -98,7 +97,7 @@ class RecoveryManager:
         self.tick_cycles = tick_cycles
         self.checkpoint_interval = checkpoint_interval
         self.worker_factory = worker_factory
-        self.sealing = sealing or SealingService()
+        self.sealing = SealingService()
         #: Optional ``repro.obs.events.EventHub`` for ``recovery_*`` events.
         self.events = events
         self.snapshots = mode in (SNAPSHOT, SNAPSHOT_WAL, REPLICA)

@@ -23,7 +23,7 @@ blobs, so two seeded runs produce byte-identical logs.
 from __future__ import annotations
 
 import struct
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 
 class WALRecord:
@@ -116,21 +116,3 @@ class WriteAheadLog:
 
     def size_bytes(self) -> int:
         return sum(20 + len(r.payload) for r in self.records)
-
-    def encode_committed(self, after_seq: int = 0) -> bytes:
-        """Canonical byte form of the committed tail (for sealing)."""
-        tail = self.committed_after(after_seq)
-        return struct.pack("<I", len(tail)) + b"".join(
-            r.encode() for r in tail)
-
-    @staticmethod
-    def decode_records(data: bytes) -> Tuple[List[WALRecord], int]:
-        """Inverse of :meth:`encode_committed`; returns (records, used)."""
-        (count,) = struct.unpack_from("<I", data, 0)
-        used = 4
-        records = []
-        for _ in range(count):
-            record = WALRecord.decode(data[used:])
-            used += 20 + len(record.payload)
-            records.append(record)
-        return records, used

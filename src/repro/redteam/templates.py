@@ -25,7 +25,7 @@ bytes) into the final label.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.workloads.apps import apache, memcached, nginx
@@ -135,21 +135,21 @@ int main() {
 """
 
 
-def off_by_n(n: int, probe_readback: bool = True) -> str:
+def off_by_n(n: int) -> str:
     """Write exactly ``n`` bytes past a 24-byte heap object.
 
     For small ``n`` the spill lands inside allocator padding: nothing an
     *object-unaware* scheme can see (Baggy's power-of-two blocks make it
     blind by construction), while object-granularity bounds flag the very
     first byte.  Success is the spilled bytes reading back intact."""
-    body = f"""
+    return PRELUDE + f"""int main() {{
     char *a = (char*)malloc(24);
     a[23] = (char)0x11;
     for (int i = 24; i < 24 + {n}; i++) a[i] = (char)0x41;
+    if ((a[24 + {n} - 1] & 255) == 0x41) return 1;
+    return 0;
+}}
 """
-    if probe_readback:
-        body += f"    if ((a[24 + {n} - 1] & 255) == 0x41) return 1;\n"
-    return PRELUDE + "int main() {" + body + "    return 0;\n}\n"
 
 
 def off_by_n_twin() -> str:

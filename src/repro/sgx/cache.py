@@ -15,6 +15,8 @@ from repro.sgx.counters import PerfCounters
 
 LINE_SHIFT = 6
 LINE_SIZE = 1 << LINE_SHIFT
+#: Ways per LLC set.
+LLC_ASSOC = 8
 
 
 class Cache:
@@ -78,9 +80,9 @@ class CacheHierarchy:
     """
 
     def __init__(self, l1_bytes: int, llc_bytes: int,
-                 l1_assoc: int = 4, llc_assoc: int = 8):
+                 l1_assoc: int = 4):
         self.l1 = Cache(l1_bytes, l1_assoc)
-        self.llc = Cache(llc_bytes, llc_assoc)
+        self.llc = Cache(llc_bytes, LLC_ASSOC)
 
     def access(self, address: int, size: int, counters: PerfCounters) -> int:
         """Simulate one data access; returns miss depth (0, 1, or 2)."""

@@ -31,7 +31,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass, replace
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.errors import ReproError
 
@@ -137,8 +137,8 @@ class SealingService:
     caller can land the cost on the simulated clock.
     """
 
-    def __init__(self, model: Optional[SealingModel] = None):
-        self.model = model or SealingModel()
+    def __init__(self):
+        self.model = SealingModel()
         self.counters: Dict[str, MonotonicCounter] = {}
         self.seals = 0
         self.unseals = 0

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Dict
 
 from repro.errors import BoundsViolation
 from repro.telemetry.metrics import MetricsRegistry, exponential_bounds
-from repro.telemetry.profiler import FunctionProfile, flame_rows
+from repro.telemetry.profiler import FunctionProfile
 from repro.telemetry.tracer import SpanTracer
 
 if TYPE_CHECKING:   # pragma: no cover - typing only
@@ -34,9 +34,9 @@ class Telemetry:
     paths.
     """
 
-    def __init__(self, max_events: int = 200_000):
+    def __init__(self):
         self.registry = MetricsRegistry()
-        self.tracer = SpanTracer(max_events=max_events)
+        self.tracer = SpanTracer()
         self.functions = FunctionProfile()
         self._runs = 0
         self._open_requests: Dict[tuple, tuple] = {}
@@ -95,11 +95,10 @@ class Telemetry:
                                   "access": getattr(err, "access", None)})
 
     # -- run-end collection ----------------------------------------------
-    def collect_counters(self, snapshot: Dict[str, int],
-                         prefix: str = "sgx") -> None:
-        """Publish a final PerfCounters snapshot as gauges."""
+    def collect_counters(self, snapshot: Dict[str, int]) -> None:
+        """Publish a final PerfCounters snapshot as ``sgx.*`` gauges."""
         for name, value in snapshot.items():
-            self.registry.gauge(f"{prefix}.{name}").set(value)
+            self.registry.gauge(f"sgx.{name}").set(value)
 
     def fastpath_hits(self, stats: Dict[str, int]) -> None:
         """Publish the VM's compiled-block entry count as the
@@ -125,12 +124,3 @@ class Telemetry:
 
     def metrics_snapshot(self) -> Dict[str, Dict[str, object]]:
         return self.registry.snapshot()
-
-    def flame_table(self, limit: int = 20) -> str:
-        """Compact text flame table over the current function profile."""
-        from repro.harness import report
-        rows = flame_rows(self.functions.snapshot(), limit=limit)
-        return report.series_table(
-            "Flame table (flat per-function profile, hottest first)",
-            ["function", "calls", "self_instr", "%instr", "cycles",
-             "checks", "llc_miss", "epc_faults"], rows)

@@ -238,7 +238,7 @@ def _net_recv(vm, thread, args):
             # balancer's rid at submit time instead.
             vm.request_id = mid
             vm.request_payload = data
-        vm.forensics.record(
+        vm.forensics.recorder.record(
             "request_recv", ts=vm.counters.instructions, cat="request",
             rid=vm.request_id, wid=vm.worker_id, tid=thread.tid,
             conn=conn, mid=mid, nbytes=len(data))

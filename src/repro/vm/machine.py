@@ -599,12 +599,3 @@ def report_crash(vm: VM, err: ReproError, forensics=None, **context) -> str:
         forensics.capture(vm, err, reason=reason, **context)
     return reason
 
-
-def run_module(module: Module, scheme: Optional[SchemeRuntime] = None,
-               enclave: Optional[Enclave] = None, entry: str = "main",
-               args: Sequence[object] = (), **vm_kwargs) -> Tuple[int, VM]:
-    """Convenience: load and run a module, returning (exit value, vm)."""
-    vm = VM(enclave=enclave, scheme=scheme, **vm_kwargs)
-    vm.load(module)
-    result = vm.run(entry, args)
-    return result, vm

@@ -208,6 +208,3 @@ class SchemeRuntime:
         """Scheme-specific memory statistics for the harness."""
         return {}
 
-
-class NativeScheme(SchemeRuntime):
-    """Explicit alias for the unprotected baseline."""

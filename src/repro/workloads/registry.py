@@ -13,14 +13,15 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Tuple
 
 SIZES = ("XS", "S", "M", "L", "XL")
+#: The size a run gets when it names none.
+DEFAULT_SIZE = "S"
 
 
 class Workload:
     """One registered benchmark kernel."""
 
     def __init__(self, name: str, suite: str, source: str,
-                 sizes: Dict[str, int], default_size: str = "S",
-                 threads: int = 1,
+                 sizes: Dict[str, int], threads: int = 1,
                  expected: Optional[Callable[[int, int], int]] = None,
                  pointer_intensity: str = "low",
                  description: str = ""):
@@ -28,7 +29,6 @@ class Workload:
         self.suite = suite
         self.source = source
         self.sizes = dict(sizes)
-        self.default_size = default_size
         self.threads = threads
         self.expected = expected
         self.pointer_intensity = pointer_intensity
@@ -36,7 +36,7 @@ class Workload:
 
     def args_for(self, size: Optional[str] = None,
                  threads: Optional[int] = None) -> Tuple[int, int]:
-        label = size or self.default_size
+        label = size or DEFAULT_SIZE
         return (self.sizes[label], threads or self.threads)
 
     def __repr__(self) -> str:

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import DoubleFree, OutOfMemory
+from repro.errors import DoubleFree, OutOfMemory, SegmentationFault
 from repro.memory import (
     AddressSpace,
     BuddyAllocator,
@@ -11,7 +11,7 @@ from repro.memory import (
     MmapAllocator,
     PoolAllocator,
 )
-from repro.memory.layout import PAGE_SIZE
+from repro.memory.layout import MMAP_BASE, MMAP_LIMIT, PAGE_SIZE
 
 
 @pytest.fixture
@@ -70,16 +70,26 @@ class TestFreeList:
         p = heap.malloc(10)
         assert heap.realloc(p, 14) == p
 
-    def test_large_allocations_use_mmap(self, heap):
+    def test_large_allocations_use_mmap(self, space, heap):
         p = heap.malloc(512 * 1024)
-        assert heap.usable_size(p) == 512 * 1024
+        assert MMAP_BASE <= p < MMAP_LIMIT
+        assert heap.heap_bytes() == 0
         heap.free(p)
+        with pytest.raises(SegmentationFault):
+            space.read_u8(p)
 
-    def test_usable_size(self, heap):
+    def test_usable_size(self, space, heap):
+        """A block keeps its requested size: realloc moves exactly that
+        many bytes, and once freed it is no longer live."""
         p = heap.malloc(100)
-        assert heap.usable_size(p) == 100
-        heap.free(p)
-        assert heap.usable_size(p) is None
+        space.write(p, b"a" * 128)       # fills the 128-byte size class
+        q = heap.realloc(p, 4096)
+        assert space.read(q, 128) == b"a" * 100 + b"\x00" * 28
+        with pytest.raises(DoubleFree):
+            heap.free(p)
+        heap.free(q)
+        with pytest.raises(DoubleFree):
+            heap.free(q)
 
     def test_malloc_zero_allowed(self, heap):
         assert heap.malloc(0) != 0
@@ -103,14 +113,17 @@ class TestMmapAllocator:
         mm = MmapAllocator(space)
         p = mm.alloc(100)
         assert p % PAGE_SIZE == 0
-        assert mm.size_of(p) == PAGE_SIZE
+        assert space.reserved_bytes == PAGE_SIZE
+        assert mm.alloc(1) == p + PAGE_SIZE
 
     def test_free_unmaps(self, space):
         mm = MmapAllocator(space)
         p = mm.alloc(PAGE_SIZE)
         space.write_u8(p, 1)
         mm.free(p)
-        assert not space.is_mapped(p)
+        assert space.reserved_bytes == 0
+        with pytest.raises(SegmentationFault):
+            space.read_u8(p)
 
     def test_hole_reuse(self, space):
         mm = MmapAllocator(space)
@@ -133,9 +146,8 @@ class TestBuddy:
     def test_power_of_two_blocks(self, space):
         buddy = BuddyAllocator(space, 1 << 20)
         p = buddy.alloc(100)
-        base, size = buddy.block_bounds(p + 50)
-        assert base == p
-        assert size == 128
+        assert (p - buddy.base) % 128 == 0
+        assert buddy.alloc(100) == p + 128     # its buddy, split off
 
     def test_coalescing(self, space):
         buddy = BuddyAllocator(space, 1 << 16)
@@ -166,13 +178,13 @@ class TestPool:
         a = pool.alloc(100)
         b = pool.alloc(100)
         assert b > a
-        assert pool.chunk_count == 1
+        assert space.reserved_bytes == PAGE_SIZE     # one chunk
 
     def test_new_chunk_when_full(self, space):
         pool = PoolAllocator(MmapAllocator(space), chunk_size=PAGE_SIZE)
         pool.alloc(PAGE_SIZE - 8)
         pool.alloc(PAGE_SIZE - 8)
-        assert pool.chunk_count == 2
+        assert space.reserved_bytes == 2 * PAGE_SIZE
 
     def test_clear_releases_chunks(self, space):
         mm = MmapAllocator(space)
@@ -181,7 +193,7 @@ class TestPool:
         before = space.reserved_bytes
         pool.clear()
         assert space.reserved_bytes < before
-        assert pool.chunk_count == 0
+        assert space.reserved_bytes == 0
 
     def test_per_chunk_overhead_costs_a_page(self, space):
         """The Apache effect: +4 bytes per page-aligned chunk = +1 page."""

@@ -355,8 +355,6 @@ class TestTelemetryHardening:
         telemetry = Telemetry()
         run_workload(get("histogram"), "sgxbounds", size="XS", threads=1,
                      telemetry=telemetry)
-        empty = telemetry.flame_table(limit=0)
-        assert isinstance(empty, str) and "function" in empty
         assert flame_rows(telemetry.functions.snapshot(), limit=0) == []
         assert flame_rows(telemetry.functions.snapshot(), limit=-5) == []
         full = flame_rows(telemetry.functions.snapshot(), limit=None)

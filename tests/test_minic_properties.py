@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import SGXBoundsScheme
 from repro.minic import compile_source
-from repro.vm import run_module
 from tests.util import run_c
 
 M64 = (1 << 64) - 1

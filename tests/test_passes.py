@@ -8,7 +8,6 @@ from repro.ir import ops, verify_module
 from repro.minic import compile_source
 from repro.passes.loop_hoist import run_loop_hoist
 from repro.passes.safe_access import run_safe_access
-from repro.vm import run_module
 from tests.util import build, run_c
 
 

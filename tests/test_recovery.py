@@ -146,8 +146,7 @@ class TestWriteAheadLog:
             wal.append(i, bytes([i]) * 3)
             wal.commit(i)
         wal.append(9, b"uncommitted")
-        records, _ = WriteAheadLog.decode_records(wal.encode_committed(1))
-        assert [r.seq for r in records] == [2, 3]
+        assert [r.seq for r in wal.committed_after(1)] == [2, 3]
 
 
 # ---------------------------------------------------------------------------

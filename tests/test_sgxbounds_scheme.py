@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import SGXBoundsScheme, extract_p, extract_ub
-from repro.errors import BoundsViolation
+from repro.errors import BoundsViolation, DoubleFree
 from tests.util import run_c
 
 
@@ -221,7 +221,8 @@ class TestRuntimeMechanics:
         vm = VM(scheme=scheme)
         tagged = scheme.malloc(vm, 50)
         scheme.free(vm, tagged)
-        assert not vm.enclave.heap.is_live(extract_p(tagged))
+        with pytest.raises(DoubleFree):
+            vm.enclave.heap.free(extract_p(tagged))
 
     def test_memory_overhead_is_4_bytes_per_object(self):
         """Paper: 'requires only 4 additional bytes per object'."""

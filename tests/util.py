@@ -8,6 +8,8 @@ from typing import Optional, Sequence, Tuple
 import pytest
 
 from repro.ir import Module, verify_module
+from repro.memory.address_space import PERM_READ
+from repro.memory.layout import PAGE_SHIFT
 from repro.minic import compile_source
 from repro.sgx import Enclave, EnclaveConfig
 from repro.vm import VM, fastpath
@@ -25,6 +27,17 @@ def build(source: str, scheme: Optional[SchemeRuntime] = None,
     if verify:
         verify_module(module)
     return module.finalize()
+
+
+def is_mapped(space, address: int) -> bool:
+    """Whether the page containing ``address`` is mapped (guards count)."""
+    return space._run_perms(address >> PAGE_SHIFT) is not None
+
+
+def is_accessible(space, address: int) -> bool:
+    """Whether a 1-byte read at ``address`` would succeed."""
+    perms = space._run_perms(address >> PAGE_SHIFT)
+    return perms is not None and bool(perms & PERM_READ)
 
 
 def run_c(source: str, scheme: Optional[SchemeRuntime] = None,

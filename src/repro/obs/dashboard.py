@@ -22,7 +22,7 @@ alert campaign (the ``--metrics-text-out`` artifact).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.obs import Observability, render_exposition, scheme_tax
 
@@ -31,9 +31,8 @@ from repro.obs import Observability, render_exposition, scheme_tax
 ALERT_RATE = 8
 ALERT_SIZE = "S"
 ALERT_DEADLINE = 20
-#: The attribution campaigns' schemes; each instrumented one is taxed
-#: against the baseline, and the exemplar's campaign gives the waterfalls.
-SCHEMES = ("native", "sgxbounds", "asan")
+#: Each instrumented scheme is taxed against the baseline, and the
+#: exemplar's campaign gives the waterfalls.
 BASELINE = "native"
 EXEMPLAR_SCHEME = "sgxbounds"
 ALERT_SCHEME = "sgxbounds"
@@ -55,6 +54,7 @@ def _exemplar_rows(rollup_rows) -> Tuple[Optional[Dict], Optional[Dict]]:
 
 def observe_fleet(app: str = "memcached", workers: int = 4,
                   seed: int = 1234, size: str = "XS",
+                  schemes: Sequence[str] = ("native", "sgxbounds", "asan"),
                   telemetry=None) -> Tuple[Dict, str]:
     """Run the observatory campaigns and render the dashboard.
 
@@ -73,20 +73,20 @@ def observe_fleet(app: str = "memcached", workers: int = 4,
     # -- 1. attribution: healthy campaigns, matched populations ---------
     handles: Dict[str, Observability] = {}
     results: Dict[str, object] = {}
-    for scheme in SCHEMES:
+    for scheme in schemes:
         obs = handles[scheme] = Observability(seed=seed)
         config = CampaignConfig(app=app, scheme=scheme,
                                 policy="drop-request", workers=workers,
                                 fault_rate=0.0, seed=seed, size=size)
         results[scheme] = run_campaign(config, obs=obs)
     rollups = {scheme: handles[scheme].attribution.rollup()
-               for scheme in SCHEMES}
+               for scheme in schemes}
     taxes = {scheme: (scheme_tax(rollups[scheme], rollups[BASELINE])
                       if scheme != BASELINE else None)
-             for scheme in SCHEMES}
+             for scheme in schemes}
 
     attrib_rows = []
-    for scheme in SCHEMES:
+    for scheme in schemes:
         roll = rollups[scheme]
         slo = results[scheme].slo
         comp = roll["mean_components"] or {}
@@ -110,7 +110,7 @@ def observe_fleet(app: str = "memcached", workers: int = 4,
         attrib_rows)]
 
     tax_rows = []
-    for scheme in SCHEMES:
+    for scheme in schemes:
         if scheme == BASELINE:
             continue
         tax = taxes[scheme]
@@ -132,7 +132,7 @@ def observe_fleet(app: str = "memcached", workers: int = 4,
         tax_rows))
 
     # -- 2. exemplar waterfalls -----------------------------------------
-    exemplar_obs = handles[EXEMPLAR_SCHEME]
+    exemplar_obs = handles.get(EXEMPLAR_SCHEME) or handles[schemes[0]]
     slow, median = _exemplar_rows(exemplar_obs.attribution.rows)
     waterfalls = []
     title = f"Exemplar waterfalls ({EXEMPLAR_SCHEME})"
